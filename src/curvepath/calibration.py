@@ -32,6 +32,7 @@ from .road import (
     Corridor,
     corridor_from_polynomial,
     offset_point,
+    project_to_polyline,
 )
 from .simulate import DriveLog, extract_measured_offsets
 
@@ -190,26 +191,10 @@ def _window_geometry(log: DriveLog, anchor: int, window: int, corridor_step: flo
     )
     end = min(anchor + window, len(log))
     pts = np.column_stack((log.x[anchor:end], log.y[anchor:end]))
-    stations = np.empty(len(pts))
-    offsets = np.empty(len(pts))
-    for j, (px, py) in enumerate(pts):
-        stations[j], offsets[j] = corridor.project(float(px), float(py))
+    stations, offsets = corridor.project_many(pts[:, 0], pts[:, 1])
     horizon = min(MAX_PREVIEW_M, corridor.length)
     keep = (stations >= 0.0) & (stations <= horizon) & (np.diff(stations, prepend=-1.0) > 0)
     return corridor, pts[keep], stations[keep], offsets[keep]
-
-
-def _polyline_distances(rec: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Distance from each point in rec (n, 2) to the polyline (px, py)."""
-    ax, ay = px[:-1], py[:-1]
-    vx, vy = np.diff(px), np.diff(py)
-    seg2 = vx * vx + vy * vy
-    t = ((rec[:, 0:1] - ax[None, :]) * vx[None, :] + (rec[:, 1:2] - ay[None, :]) * vy[None, :]) / seg2[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    cx = ax[None, :] + t * vx[None, :]
-    cy = ay[None, :] + t * vy[None, :]
-    d2 = (rec[:, 0:1] - cx) ** 2 + (rec[:, 1:2] - cy) ** 2
-    return np.sqrt(d2.min(axis=1))
 
 
 def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horizon) -> float:
@@ -251,7 +236,8 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horiz
     rec = pts[stations <= horizon + 1e-9]
     if rec.shape[0] < 4:
         return math.inf
-    return float(np.mean(_polyline_distances(rec, px, py)))
+    _, _, signed = project_to_polyline(px, py, rec[:, 0], rec[:, 1])
+    return float(np.mean(np.abs(signed)))
 
 
 _FLAT_COST_EPS = 1e-4
@@ -381,7 +367,8 @@ def node_count_tradeoff(
     For each count, paths are fitted through equidistant midline node points
     at every replan; the mean distance of the fitted path to the midline and
     the mean planning wall time are recorded, then both series are
-    normalised by their maxima. Timing takes the best of `repeats` passes.
+    normalised by their maxima. A count's planning time is the mean over
+    replans of each replan's best of `repeats` timed fits.
     """
     counts = list(counts)
     if not counts or any(c < 1 for c in counts):
@@ -407,19 +394,21 @@ def node_count_tradeoff(
             path = plan_once(corridor, count)
             n = max(2, int(math.ceil(path.length)))
             px, py, _ = path.sample(np.linspace(0.0, path.length, n + 1))
-            dists = [abs(corridor.project(float(ax), float(ay))[1]) for ax, ay in zip(px, py)]
-            per_replan_err.append(float(np.mean(dists)))
+            _, offsets = corridor.project_many(px, py)
+            per_replan_err.append(float(np.mean(np.abs(offsets))))
         errors.append(float(np.mean(per_replan_err)))
 
-    # round-robin the timing repeats across counts and keep the minimum, so
-    # transient machine load cannot bias any single count
-    times = [math.inf] * len(counts)
+    # time each corridor at every count back to back and keep per-corridor
+    # minima over the repeats, so a change of machine speed hits all counts
+    # alike instead of whichever count happened to run during it
+    best = np.full((len(counts), len(corridors)), math.inf)
     for _ in range(repeats):
-        for i, count in enumerate(counts):
-            t0 = time.perf_counter()
-            for corridor in corridors:
+        for j, corridor in enumerate(corridors):
+            for i, count in enumerate(counts):
+                t0 = time.perf_counter()
                 plan_once(corridor, count)
-            times[i] = min(times[i], (time.perf_counter() - t0) / len(corridors))
+                best[i, j] = min(best[i, j], time.perf_counter() - t0)
+    times = [float(t) for t in best.mean(axis=1)]
 
     err_max = max(errors) if max(errors) > 0 else 1.0
     time_max = max(times)

@@ -129,33 +129,7 @@ def project_onto(trace: SimTrace, corridor: Corridor) -> SimTrace:
     segment); the returned offset is the signed perpendicular distance,
     positive left.
     """
-    pts = np.column_stack((trace.x, trace.y))
-    tree = cKDTree(np.column_stack((corridor.x, corridor.y)))
-    _, nearest = tree.query(pts)
-    n_samples = len(corridor)
-    stations = np.empty(len(pts))
-    offsets = np.empty(len(pts))
-    for j, (px, py) in enumerate(pts):
-        best = None
-        i = int(nearest[j])
-        for a in (i - 1, i):
-            if a < 0 or a + 1 >= n_samples:
-                continue
-            ax, ay = corridor.x[a], corridor.y[a]
-            vx, vy = corridor.x[a + 1] - ax, corridor.y[a + 1] - ay
-            seg2 = vx * vx + vy * vy
-            t = min(1.0, max(0.0, ((px - ax) * vx + (py - ay) * vy) / seg2))
-            cx, cy = ax + t * vx, ay + t * vy
-            d2 = (px - cx) ** 2 + (py - cy) ** 2
-            if best is None or d2 < best[0]:
-                cross = (vx * (py - ay) - vy * (px - ax)) / math.sqrt(seg2)
-                best = (
-                    d2,
-                    corridor.s[a] + t * (corridor.s[a + 1] - corridor.s[a]),
-                    math.copysign(math.sqrt(d2), cross),
-                )
-        stations[j] = best[1]
-        offsets[j] = best[2]
+    stations, offsets = corridor.project_many(trace.x, trace.y)
     return replace(trace, station=stations, offset=offsets)
 
 

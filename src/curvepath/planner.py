@@ -154,23 +154,15 @@ def plan_path_from_offsets(
     offsets: OffsetVector,
     params: NodePointParams,
     frame: PlanningFrame,
-    origin_heading: str = "vehicle",
 ) -> PlannedPath:
     """Fit the three-piece Euler path through explicitly given node offsets.
 
     The corridor and frame origin must share one coordinate frame; the
     returned path is expressed in the planning frame. The first curve starts
-    at the frame origin, by default with the vehicle heading (set
-    origin_heading="road" to use the road heading at the corridor start).
+    at the frame origin with the vehicle heading.
     """
     nominal, _ = select_node_points(corridor, params)
-    if origin_heading == "vehicle":
-        origin = frame.origin
-    elif origin_heading == "road":
-        at_start = corridor.pose_at(0.0)
-        origin = Pose(frame.origin.x, frame.origin.y, at_start.theta)
-    else:
-        raise ValueError(f"unknown origin_heading {origin_heading!r}")
+    origin = frame.origin
 
     if offsets.max_abs() >= 0.5 * corridor.lane_width:
         logger.warning(
@@ -206,10 +198,9 @@ def plan_path(
     gains: GainMatrix,
     params: NodePointParams,
     frame: PlanningFrame,
-    origin_heading: str = "vehicle",
 ) -> PlannedPath:
     """One full planning cycle: curvature input, linear offsets, path fit."""
     _, arclengths = select_node_points(corridor, params)
     kappas = average_curvatures(corridor, arclengths)
     offsets = compute_offsets(gains, kappas)
-    return plan_path_from_offsets(corridor, offsets, params, frame, origin_heading)
+    return plan_path_from_offsets(corridor, offsets, params, frame)

@@ -13,21 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_PREVIEW_M = 150.0
 DEFAULT_LANE_WIDTH_M = 3.70
 DEFAULT_CORRIDOR_STEP_M = 0.5
-
-# Coefficient weighting for the cubic lane model. With CURVATURE_COEFFS the
-# quadratic and cubic coefficients are the curvature and curvature rate at
-# x = 0, i.e. y = c0 + c1*x + (c2/2)*x^2 + (c3/6)*x^3. RAW_COEFFS instead
-# applies weights (1, 1, 2, 6) for data sources that bake the factors into
-# the coefficients. All defaults use CURVATURE_COEFFS.
-CURVATURE_COEFFS = (1.0, 1.0, 0.5, 1.0 / 6.0)
-RAW_COEFFS = (1.0, 1.0, 2.0, 6.0)
-DEFAULT_POLY_WEIGHTS = CURVATURE_COEFFS
 
 
 def wrap_angle(theta: float) -> float:
@@ -56,9 +48,9 @@ class Pose:
 class LanePolynomial:
     """Cubic midline model in the vehicle frame.
 
-    c0 is the lateral distance of the midline at x = 0, c1 its slope, c2 the
-    curvature and c3 the curvature rate at x = 0 (under the default
-    coefficient weighting, see CURVATURE_COEFFS).
+    y = c0 + c1*x + (c2/2)*x^2 + (c3/6)*x^3: c0 is the lateral distance of
+    the midline at x = 0, c1 its slope, c2 the curvature and c3 the
+    curvature rate at x = 0.
     """
 
     c0: float
@@ -79,28 +71,21 @@ class LanePolynomial:
         return (self.c0, self.c1, self.c2, self.c3)
 
 
-def eval_lane_polynomial(poly: LanePolynomial, x, weights=DEFAULT_POLY_WEIGHTS):
+def eval_lane_polynomial(poly: LanePolynomial, x):
     """Lateral midline position y(x). x may be a scalar or array in [0, preview]."""
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0) or np.any(xs > poly.preview_length):
         raise ValueError(
             f"x outside preview range [0, {poly.preview_length}]"
         )
-    w0, w1, w2, w3 = weights
-    y = (
-        w0 * poly.c0
-        + w1 * poly.c1 * xs
-        + w2 * poly.c2 * xs**2
-        + w3 * poly.c3 * xs**3
-    )
+    y = poly.c0 + poly.c1 * xs + 0.5 * poly.c2 * xs**2 + (1.0 / 6.0) * poly.c3 * xs**3
     return float(y) if np.isscalar(x) else y
 
 
-def _poly_slope_curvature(poly: LanePolynomial, xs: np.ndarray, weights=DEFAULT_POLY_WEIGHTS):
+def _poly_slope_curvature(poly: LanePolynomial, xs: np.ndarray):
     """First and second derivatives of the lane polynomial."""
-    w0, w1, w2, w3 = weights
-    dy = w1 * poly.c1 + 2.0 * w2 * poly.c2 * xs + 3.0 * w3 * poly.c3 * xs**2
-    ddy = 2.0 * w2 * poly.c2 + 6.0 * w3 * poly.c3 * xs
+    dy = poly.c1 + poly.c2 * xs + 0.5 * poly.c3 * xs**2
+    ddy = poly.c2 + poly.c3 * xs
     return dy, ddy
 
 
@@ -138,6 +123,36 @@ def from_planning_frame(local_pose: Pose, frame: PlanningFrame) -> Pose:
         o.y + s * local_pose.x + c * local_pose.y,
         local_pose.theta + o.theta,
     )
+
+
+def project_to_polyline(x, y, px, py) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project points (px, py) onto the polyline through (x, y).
+
+    Each point goes to the closer of the two segments that meet at its
+    nearest vertex (the earlier one on a tie). Returns per point the segment
+    index a, the fraction t in [0, 1] along segment a -> a + 1 and the
+    signed distance, positive when the point lies left of the polyline.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    px = np.asarray(px, dtype=float)
+    py = np.asarray(py, dtype=float)
+    _, nearest = cKDTree(np.column_stack((x, y))).query(np.column_stack((px, py)))
+    # rows: the segment ending at the nearest vertex, the one starting there
+    seg = np.stack((nearest - 1, nearest))
+    valid = (seg >= 0) & (seg < x.size - 1)
+    seg = np.clip(seg, 0, x.size - 2)
+    ax, ay = x[seg], y[seg]
+    vx, vy = x[seg + 1] - ax, y[seg + 1] - ay
+    t = np.clip(((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy), 0.0, 1.0)
+    cx, cy = ax + t * vx, ay + t * vy
+    d2 = np.where(valid, (px - cx) ** 2 + (py - cy) ** 2, np.inf)
+    pick = (d2[1] < d2[0]).astype(np.intp)
+    cols = np.arange(px.size)
+    seg, t, d2 = seg[pick, cols], t[pick, cols], d2[pick, cols]
+    vx, vy = vx[pick, cols], vy[pick, cols]
+    cross = vx * (py - y[seg]) - vy * (px - x[seg])
+    return seg, t, np.copysign(np.sqrt(d2), cross)
 
 
 # Loose per-step consistency bound between heading increments and integrated
@@ -273,12 +288,16 @@ class Corridor:
                 best = (d2, float(station), float(math.copysign(math.sqrt(d2), cross)))
         return best[1], best[2]
 
+    def project_many(self, px, py) -> tuple[np.ndarray, np.ndarray]:
+        """Batched project(): (stations, signed offsets) for arrays of points."""
+        seg, t, offsets = project_to_polyline(self.x, self.y, px, py)
+        return self.s[seg] + t * (self.s[seg + 1] - self.s[seg]), offsets
+
 
 def corridor_from_polynomial(
     poly: LanePolynomial,
     step: float = DEFAULT_CORRIDOR_STEP_M,
     lane_width: float = DEFAULT_LANE_WIDTH_M,
-    weights=DEFAULT_POLY_WEIGHTS,
 ) -> Corridor:
     """Resample a lane polynomial into an arc-length corridor.
 
@@ -289,8 +308,8 @@ def corridor_from_polynomial(
         raise ValueError("step must be positive")
     n = max(2, int(math.ceil(poly.preview_length / step)) + 1)
     xs = np.linspace(0.0, poly.preview_length, n)
-    ys = eval_lane_polynomial(poly, xs, weights)
-    dy, ddy = _poly_slope_curvature(poly, xs, weights)
+    ys = eval_lane_polynomial(poly, xs)
+    dy, ddy = _poly_slope_curvature(poly, xs)
     theta = np.arctan(dy)
     kappa = ddy / (1.0 + dy**2) ** 1.5
     s = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(xs), np.diff(ys)))))

@@ -460,21 +460,20 @@ _FIT_WEIGHT_SCALE_M = 50.0
 def fit_lane_polynomial(
     road: Corridor,
     ego: Pose,
-    station: float | None = None,
+    station: float,
     preview: float = DEFAULT_PREVIEW_M,
     anchor_c0: float | None = None,
     anchor_c1: float | None = None,
-    weight_scale: float = _FIT_WEIGHT_SCALE_M,
 ) -> LanePolynomial:
     """Distance-weighted cubic fit of the road midline in the ego frame.
 
-    anchor_c0 / anchor_c1 pin the intercept and slope (a calibrated camera's
-    lateral offset and relative heading outputs); the remaining coefficients
-    are fitted. Pinning both keeps the near field of consecutive fits
-    mutually consistent, so replayed plans do not inherit perception jitter.
+    station is the ego's midline station; the fit uses the midline samples
+    from there to the end of the preview. anchor_c0 / anchor_c1 pin the
+    intercept and slope (a calibrated camera's lateral offset and relative
+    heading outputs); the remaining coefficients are fitted. Pinning both
+    keeps the near field of consecutive fits mutually consistent, so
+    replayed plans do not inherit perception jitter.
     """
-    if station is None:
-        station, _ = road.project(ego.x, ego.y)
     i0 = int(np.searchsorted(road.s, station - 1e-9, side="left"))
     i1 = int(np.searchsorted(road.s, station + preview + 1e-9, side="right"))
     if i1 - i0 < 8:
@@ -486,7 +485,7 @@ def fit_lane_polynomial(
     c, s = math.cos(ego.theta), math.sin(ego.theta)
     xe = c * dx + s * dy
     ye = -s * dx + c * dy
-    weight = 1.0 / (1.0 + (xe / weight_scale) ** 2) ** 2
+    weight = 1.0 / (1.0 + (xe / _FIT_WEIGHT_SCALE_M) ** 2) ** 2
     columns = [np.ones_like(xe), xe, 0.5 * xe**2, xe**3 / 6.0]
     fixed = [anchor_c0, anchor_c1, None, None]
     free = [i for i, v in enumerate(fixed) if v is None]
@@ -708,7 +707,6 @@ def run_replay(
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
     mode: str = "validation",
     corridor_step: float = DEFAULT_CORRIDOR_STEP_M,
-    origin_heading: str = "vehicle",
 ) -> SimTrace:
     """Replay a drive log with cyclic replanning.
 
@@ -716,7 +714,8 @@ def run_replay(
     mode reads them back from the recorded drive. Between replans the
     vehicle follows the active path by arc length at the logged speed. A
     replan without sufficient preview keeps the previous path active and is
-    recorded as a gap.
+    recorded as a gap. Each cycle's offset is measured against the corridor
+    of the plan active in that cycle.
     """
     if mode not in ("validation", "estimation"):
         raise ValueError(f"mode must be 'validation' or 'estimation', got {mode!r}")
@@ -730,6 +729,7 @@ def run_replay(
     active_corr: Corridor | None = None
     path_s = 0.0
     path_id = -1
+    active_from = 0  # first cycle following the active plan
     replans: list[ReplanRecord] = []
 
     cycles = np.arange(n, dtype=np.int64)
@@ -762,26 +762,28 @@ def run_replay(
                     node_offsets = extract_measured_offsets(log, i, params)
                 else:
                     node_offsets = compute_offsets(gains, kbar)
-                planned = plan_path_from_offsets(
-                    corr, node_offsets, params, PlanningFrame(origin=ego), origin_heading
-                )
+                planned = plan_path_from_offsets(corr, node_offsets, params, PlanningFrame(origin=ego))
             except (InsufficientPreviewError, FitError):
                 replans.append(ReplanRecord(cycle=i, path=None, curvature_input=None, offsets=None, gap=True))
             else:
+                if active is not None:
+                    done = slice(active_from, i)
+                    _, offsets[done] = active_corr.project_many(xs[done], ys[done])
                 path_id += 1
-                active, active_corr, path_s = planned, corr, 0.0
+                active, active_corr, path_s, active_from = planned, corr, 0.0, i
                 replans.append(
                     ReplanRecord(cycle=i, path=planned, curvature_input=kbar, offsets=node_offsets, gap=False)
                 )
         xs[i], ys[i], thetas[i] = ego.x, ego.y, ego.theta
         path_ids[i] = path_id
         if active is not None:
-            _, offsets[i] = active_corr.project(ego.x, ego.y)
             kappas[i] = active.path.curvature_at(min(path_s, active.path.length))
             path_s = min(path_s + float(log.speed[i]) * log.sample_time, active.path.length)
             ego = from_planning_frame(active.path.pose_at(path_s), active.frame)
     if path_id < 0:
         raise ReplayError("replay produced no valid plan at any retrigger")
+    rest = slice(active_from, n)
+    _, offsets[rest] = active_corr.project_many(xs[rest], ys[rest])
     return SimTrace(
         cycle=cycles,
         x=xs,
