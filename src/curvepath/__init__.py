@@ -9,6 +9,7 @@ calibration, and safety / human-likeness evaluation metrics.
 
 from .road import (
     Corridor,
+    CorridorError,
     LanePolynomial,
     PlanningFrame,
     Pose,

@@ -30,6 +30,7 @@ from .planner import (
 from .road import (
     DEFAULT_CORRIDOR_STEP_M,
     Corridor,
+    CorridorError,
     corridor_from_polynomial,
     offset_point,
     project_to_polyline,
@@ -104,7 +105,8 @@ def assemble_dataset(
     The curvature input comes from the lane polynomial recorded at the
     replan cycle; the offsets are the driver's measured midline offsets at
     the rows nearest each node distance ahead. Replans lacking preview
-    (short polynomial or log ending early) are skipped and counted.
+    (short polynomial or log ending early) or whose lane polynomial gives no
+    valid corridor are skipped and counted.
     """
     params = params or NodePointParams()
     if retrigger < 1:
@@ -117,14 +119,15 @@ def assemble_dataset(
             offsets = extract_measured_offsets(log, row, params)
             corridor = corridor_from_polynomial(log.polynomial(row), corridor_step)
             kappas = average_curvatures(corridor, params.distances)
-        except InsufficientPreviewError:
+        except (InsufficientPreviewError, CorridorError):
             skipped += 1
             continue
         u_cols.append(kappas.as_array())
         d_cols.append(offsets.as_array())
     if not u_cols:
         raise EmptyDatasetError(
-            f"all {skipped} replanning cycles lacked preview; no dataset columns"
+            f"all {skipped} replanning cycles lacked preview or a valid corridor; "
+            "no dataset columns"
         )
     return RegressionDataset(
         offsets=np.array(d_cols).T,

@@ -5,7 +5,10 @@ is a quadratic polynomial of arc length and positions are integrals of
 cos/sin of that polynomial. Those integrals are evaluated with panelised
 Gauss-Legendre quadrature, which is uniformly accurate from straight lines
 through circular arcs to strong spirals (no special casing near zero
-curvature rate is required).
+curvature rate is required). The rule has two kernels with the same nodes
+and panels: a scalar pure-Python loop for single points and for every step
+of a fit, where numpy's per-call overhead would dominate, and an array
+kernel for sampling many stations at once.
 
 G1 fitting normalises the problem to the chord frame and reduces it to a
 scalar root-find in the heading-integral parameter, solved by Newton with a
@@ -16,6 +19,8 @@ pi away from the chord direction (lane-keeping paths never loop).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +30,7 @@ from .road import Pose, wrap_angle
 
 _GL_ORDER = 24
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+_GL_RULE = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 
 MAX_FIT_ITERATIONS = 100
 FIT_RESIDUAL_TOL = 1e-12
@@ -47,6 +53,37 @@ class FitConvergenceError(FitError):
         self.residual = residual
 
 
+def _panel_count(slope: float) -> int:
+    """Panels for a phase slope |a| + |b|: a few radians of phase per panel."""
+    return int(min(256, max(1, math.ceil((slope + 1.0) / 4.0))))
+
+
+def _scalar_phase_integrals(a: float, b: float, c: float, tau_moments: bool = False):
+    """_phase_integrals for one (a, b, c), summed in a pure-Python loop.
+
+    Same nodes, weights, panels and per-node arithmetic as the array kernel;
+    only the summation order differs (sequential here, pairwise in numpy).
+    """
+    panels = _panel_count(abs(a) + abs(b))
+    half = 0.5 / panels
+    x0 = y0 = x1 = x2 = 0.0
+    for k in range(panels):
+        center = (k + 0.5) / panels
+        for node, weight in _GL_RULE:
+            tau = center + half * node
+            phase = 0.5 * a * (tau * tau) + b * tau + c
+            w = half * weight
+            cw = math.cos(phase) * w
+            x0 += cw
+            y0 += math.sin(phase) * w
+            if tau_moments:
+                x1 += cw * tau
+                x2 += cw * tau * tau
+    if not tau_moments:
+        return x0, y0
+    return x0, y0, x1, x2
+
+
 def _phase_integrals(a, b, c, tau_moments: bool = False):
     """Integrals of cos/sin((a/2) t^2 + b t + c) over t in [0, 1].
 
@@ -62,7 +99,7 @@ def _phase_integrals(a, b, c, tau_moments: bool = False):
     a, b, c = (np.broadcast_to(v, shape) for v in (a, b, c))
 
     slope = np.max(np.abs(a) + np.abs(b)) if shape else abs(a) + abs(b)
-    panels = int(min(256, max(1, math.ceil((float(slope) + 1.0) / 4.0))))
+    panels = _panel_count(float(slope))
 
     centers = (np.arange(panels) + 0.5) / panels
     half = 0.5 / panels
@@ -120,10 +157,19 @@ class ClothoidSegment:
         )
 
     def pose_at(self, s: float) -> Pose:
+        """sample() at one arc length, through the scalar kernel."""
         if s == 0.0:
             return self.start
-        xs, ys, ths = self.sample(np.asarray([float(s)]))
-        return Pose(float(xs[0]), float(ys[0]), float(ths[0]))
+        s = float(s)
+        if s < -1e-9 or s > self.length + 1e-9:
+            raise ValueError(f"arc length outside [0, {self.length}]")
+        s2 = s * s
+        x0, y0 = _scalar_phase_integrals(self.kappa_rate * s2, self.kappa0 * s, self.start.theta)
+        return Pose(
+            self.start.x + s * x0,
+            self.start.y + s * y0,
+            self.start.theta + self.kappa0 * s + 0.5 * self.kappa_rate * s2,
+        )
 
     def end_pose(self) -> Pose:
         return self.pose_at(self.length)
@@ -141,8 +187,8 @@ def _no_loop(big_a: float, delta: float, phi0: float) -> bool:
 
 
 def _root_valid(big_a: float, delta: float, phi0: float) -> bool:
-    x0, _ = _phase_integrals(2.0 * big_a, delta - big_a, phi0)
-    return float(x0) > 1e-9 and _no_loop(big_a, delta, phi0)
+    x0, _ = _scalar_phase_integrals(2.0 * big_a, delta - big_a, phi0)
+    return x0 > 1e-9 and _no_loop(big_a, delta, phi0)
 
 
 def _solve_flattening(phi0: float, phi1: float) -> float:
@@ -159,11 +205,10 @@ def _solve_flattening(phi0: float, phi1: float) -> float:
 
     for _ in range(32):
         iterations += 1
-        x0, y0, x1, x2 = _phase_integrals(2.0 * big_a, delta - big_a, phi0, tau_moments=True)
-        g = float(y0)
-        if abs(g) < FIT_RESIDUAL_TOL and float(x0) > 1e-9 and _no_loop(big_a, delta, phi0):
+        x0, g, x1, x2 = _scalar_phase_integrals(2.0 * big_a, delta - big_a, phi0, tau_moments=True)
+        if abs(g) < FIT_RESIDUAL_TOL and x0 > 1e-9 and _no_loop(big_a, delta, phi0):
             return big_a
-        dg = float(x2 - x1)
+        dg = x2 - x1
         if dg == 0.0 or not math.isfinite(dg):
             break
         step = g / dg
@@ -192,8 +237,7 @@ def _solve_flattening(phi0: float, phi1: float) -> float:
             for _ in range(MAX_FIT_ITERATIONS):
                 iterations += 1
                 mid = 0.5 * (lo + hi)
-                _, gm = _phase_integrals(2.0 * mid, delta - mid, phi0)
-                gm = float(gm)
+                _, gm = _scalar_phase_integrals(2.0 * mid, delta - mid, phi0)
                 if abs(gm) < FIT_RESIDUAL_TOL or hi - lo < 1e-14 * max(1.0, abs(mid)):
                     if _root_valid(mid, delta, phi0):
                         return mid
@@ -230,8 +274,7 @@ def fit_g1(start: Pose, end: Pose) -> ClothoidSegment:
     delta = phi1 - phi0
 
     big_a = _solve_flattening(phi0, phi1)
-    x0, _ = _phase_integrals(2.0 * big_a, delta - big_a, phi0)
-    x0 = float(x0)
+    x0, _ = _scalar_phase_integrals(2.0 * big_a, delta - big_a, phi0)
     if x0 <= 1e-9:
         raise FitConvergenceError(
             f"degenerate chord projection (phi0={phi0:.6f}, phi1={phi1:.6f})"
@@ -269,18 +312,17 @@ class CompositePath:
                 raise ValueError(
                     f"joint {i} breaks G1 continuity (gap {gap:.3e} m, heading {dth:.3e} rad)"
                 )
-        bounds = np.concatenate(([0.0], np.cumsum([seg.length for seg in segments])))
-        bounds.setflags(write=False)
+        bounds = tuple(itertools.accumulate((seg.length for seg in segments), initial=0.0))
         object.__setattr__(self, "_bounds", bounds)
 
     @property
     def length(self) -> float:
-        return float(self._bounds[-1])
+        return self._bounds[-1]
 
     def locate(self, s: float) -> tuple[int, float]:
         if s < -1e-9 or s > self.length + 1e-9:
             raise ValueError(f"arc length {s} outside [0, {self.length}]")
-        i = int(np.searchsorted(self._bounds, s, side="right")) - 1
+        i = bisect.bisect_right(self._bounds, s) - 1
         i = min(max(i, 0), len(self.segments) - 1)
         return i, min(max(s - self._bounds[i], 0.0), self.segments[i].length)
 
@@ -290,7 +332,8 @@ class CompositePath:
 
     def curvature_at(self, s: float) -> float:
         i, local = self.locate(s)
-        return float(self.segments[i].curvature_at(local))
+        seg = self.segments[i]
+        return seg.kappa0 + seg.kappa_rate * local
 
     def sample(self, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions and headings at the given path arc lengths."""

@@ -124,8 +124,11 @@ def select_node_points(
             f"corridor length {corridor.length:.2f} m is shorter than the far "
             f"node distance {params.d_far:.2f} m"
         )
-    poses = tuple(corridor.pose_at(d) for d in params.distances)
-    return poses, params.distances
+    stations = np.array(params.distances)
+    xs, ys, thetas = (
+        np.interp(stations, corridor.s, v).tolist() for v in (corridor.x, corridor.y, corridor.theta)
+    )
+    return tuple(map(Pose, xs, ys, thetas)), params.distances
 
 
 def average_curvatures(corridor: Corridor, node_arclengths) -> CurvatureInput:
@@ -159,10 +162,11 @@ def plan_path_from_offsets(
 
     The corridor and frame origin must share one coordinate frame; the
     returned path is expressed in the planning frame. The first curve starts
-    at the frame origin with the vehicle heading.
+    at the frame origin with the vehicle heading. The poses are mapped into
+    the planning frame before fitting: each fit is normalised to its chord
+    frame, so the curves do not depend on the frame they are fitted in.
     """
     nominal, _ = select_node_points(corridor, params)
-    origin = frame.origin
 
     if offsets.max_abs() >= 0.5 * corridor.lane_width:
         logger.warning(
@@ -171,26 +175,9 @@ def plan_path_from_offsets(
             corridor.lane_width,
         )
 
-    node_poses = tuple(
-        offset_point(pose, delta)
-        for pose, delta in zip(nominal, offsets.as_array())
-    )
-    path_global = fit_composite((origin, *node_poses))
-    segments_local = tuple(
-        type(seg)(
-            start=to_planning_frame(seg.start, frame),
-            kappa0=seg.kappa0,
-            kappa_rate=seg.kappa_rate,
-            length=seg.length,
-        )
-        for seg in path_global.segments
-    )
-    poses_local = tuple(to_planning_frame(p, frame) for p in (origin, *node_poses))
-    return PlannedPath(
-        path=CompositePath(segments=segments_local),
-        node_poses=poses_local,
-        frame=frame,
-    )
+    node_poses = (offset_point(pose, delta) for pose, delta in zip(nominal, offsets.as_array()))
+    poses_local = tuple(to_planning_frame(p, frame) for p in (frame.origin, *node_poses))
+    return PlannedPath(path=fit_composite(poses_local), node_poses=poses_local, frame=frame)
 
 
 def plan_path(
@@ -200,7 +187,6 @@ def plan_path(
     frame: PlanningFrame,
 ) -> PlannedPath:
     """One full planning cycle: curvature input, linear offsets, path fit."""
-    _, arclengths = select_node_points(corridor, params)
-    kappas = average_curvatures(corridor, arclengths)
+    kappas = average_curvatures(corridor, params.distances)
     offsets = compute_offsets(gains, kappas)
     return plan_path_from_offsets(corridor, offsets, params, frame)

@@ -155,6 +155,10 @@ def project_to_polyline(x, y, px, py) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return seg, t, np.copysign(np.sqrt(d2), cross)
 
 
+class CorridorError(ValueError):
+    """Midline samples that do not form a valid corridor."""
+
+
 # Loose per-step consistency bound between heading increments and integrated
 # curvature; catches corrupted corridor data without rejecting legitimate
 # discretisation error at curvature jumps.
@@ -184,24 +188,24 @@ class Corridor:
             arrays[name] = arr
         n = arrays["s"].size
         if n < 2:
-            raise ValueError("corridor needs at least two samples")
+            raise CorridorError("corridor needs at least two samples")
         for name, arr in arrays.items():
             if arr.shape != (n,):
-                raise ValueError(f"corridor array {name} has shape {arr.shape}, expected ({n},)")
+                raise CorridorError(f"corridor array {name} has shape {arr.shape}, expected ({n},)")
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"corridor array {name} contains non-finite values")
+                raise CorridorError(f"corridor array {name} contains non-finite values")
         if abs(arrays["s"][0]) > 1e-9:
-            raise ValueError("corridor arc length must start at 0")
+            raise CorridorError("corridor arc length must start at 0")
         arrays["s"] = arrays["s"] - arrays["s"][0]
         ds = np.diff(arrays["s"])
         if np.any(ds <= 0):
-            raise ValueError("corridor arc length must be strictly increasing")
+            raise CorridorError("corridor arc length must be strictly increasing")
         if not self.lane_width > 0:
-            raise ValueError("lane_width must be positive")
+            raise CorridorError("lane_width must be positive")
         dtheta = np.diff(arrays["theta"])
         kappa_step = 0.5 * (arrays["kappa"][:-1] + arrays["kappa"][1:]) * ds
         if np.any(np.abs(dtheta - kappa_step) > _HEADING_STEP_TOL):
-            raise ValueError("corridor heading increments inconsistent with curvature")
+            raise CorridorError("corridor heading increments inconsistent with curvature")
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -41,6 +41,7 @@ from .road import (
     DEFAULT_LANE_WIDTH_M,
     DEFAULT_PREVIEW_M,
     Corridor,
+    CorridorError,
     LanePolynomial,
     PlanningFrame,
     Pose,
@@ -713,7 +714,8 @@ def run_replay(
     Validation mode produces node offsets with the gain matrix; estimation
     mode reads them back from the recorded drive. Between replans the
     vehicle follows the active path by arc length at the logged speed. A
-    replan without sufficient preview keeps the previous path active and is
+    replan without sufficient preview, whose lane polynomial gives no valid
+    corridor or whose fit fails keeps the previous path active and is
     recorded as a gap. Each cycle's offset is measured against the corridor
     of the plan active in that cycle.
     """
@@ -763,7 +765,7 @@ def run_replay(
                 else:
                     node_offsets = compute_offsets(gains, kbar)
                 planned = plan_path_from_offsets(corr, node_offsets, params, PlanningFrame(origin=ego))
-            except (InsufficientPreviewError, FitError):
+            except (InsufficientPreviewError, FitError, CorridorError):
                 replans.append(ReplanRecord(cycle=i, path=None, curvature_input=None, offsets=None, gap=True))
             else:
                 if active is not None:
