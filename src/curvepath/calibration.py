@@ -28,7 +28,6 @@ from .planner import (
     average_curvatures,
 )
 from .road import (
-    DEFAULT_CORRIDOR_STEP_M,
     Corridor,
     CorridorError,
     corridor_from_polynomial,
@@ -98,7 +97,6 @@ def assemble_dataset(
     log: DriveLog,
     params: NodePointParams | None = None,
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
-    corridor_step: float = DEFAULT_CORRIDOR_STEP_M,
 ) -> RegressionDataset:
     """One dataset column per replanning cycle with sufficient preview.
 
@@ -117,7 +115,7 @@ def assemble_dataset(
     for row in range(0, len(log), retrigger):
         try:
             offsets = extract_measured_offsets(log, row, params)
-            corridor = corridor_from_polynomial(log.polynomial(row), corridor_step)
+            corridor = corridor_from_polynomial(log.polynomial(row))
             kappas = average_curvatures(corridor, params.distances)
         except (InsufficientPreviewError, CorridorError):
             skipped += 1
@@ -137,7 +135,7 @@ def assemble_dataset(
     )
 
 
-def fit_gain_matrix(data: RegressionDataset, rel_tol: float = _SVD_REL_TOL) -> CalibrationResult:
+def fit_gain_matrix(data: RegressionDataset) -> CalibrationResult:
     """Least-squares gain matrix minimising ||offsets - P inputs||.
 
     Solved via the pseudoinverse of the input matrix from its SVD; raises
@@ -149,7 +147,7 @@ def fit_gain_matrix(data: RegressionDataset, rel_tol: float = _SVD_REL_TOL) -> C
     u_mat = data.inputs
     d_mat = data.offsets
     w, sig, vt = np.linalg.svd(u_mat, full_matrices=False)
-    cutoff = (sig[0] if sig[0] > 0 else 1.0) * rel_tol
+    cutoff = (sig[0] if sig[0] > 0 else 1.0) * _SVD_REL_TOL
     rank = int(np.sum(sig > cutoff))
     if rank < 3:
         null = w[:, rank:]
@@ -186,12 +184,10 @@ class NodeDistanceResult:
     skipped_windows: int
 
 
-def _window_geometry(log: DriveLog, anchor: int, window: int, corridor_step: float):
+def _window_geometry(log: DriveLog, anchor: int, window: int):
     """Midline corridor at the window anchor plus the recorded path expressed
     as stations and points along it."""
-    corridor = corridor_from_polynomial(log.polynomial(anchor), corridor_step).transformed(
-        log.pose(anchor)
-    )
+    corridor = corridor_from_polynomial(log.polynomial(anchor)).transformed(log.pose(anchor))
     end = min(anchor + window, len(log))
     pts = np.column_stack((log.x[anchor:end], log.y[anchor:end]))
     stations, offsets = corridor.project_many(pts[:, 0], pts[:, 1])
@@ -254,9 +250,7 @@ def optimize_node_distances(
     initial: NodePointParams,
     window: int = DEFAULT_WINDOW_SAMPLES,
     stride: int | None = None,
-    corridor_step: float = DEFAULT_CORRIDOR_STEP_M,
     grid_step: float = 5.0,
-    refine: bool = True,
 ) -> NodeDistanceResult:
     """Recover node distances that best explain the recorded drive.
 
@@ -264,7 +258,7 @@ def optimize_node_distances(
     the drive, orientation from the road), a three-piece Euler path is
     fitted from the window anchor pose, and the mean point distance to the
     recorded path is minimised over the distances under the ordering
-    constraint. A coarse grid seeds a Nelder-Mead refinement on the
+    constraint. A coarse grid seeds a Nelder-Mead search on the
     positive-gap reparameterisation. Window optima are averaged; windows
     with a flat cost landscape (straight driving) are skipped, and if every
     window is flat the initial guess is returned flagged.
@@ -286,7 +280,7 @@ def optimize_node_distances(
     evaluated_windows = 0
     for anchor in range(0, len(log) - window + 1, stride):
         try:
-            corridor, pts, stations, offsets = _window_geometry(log, anchor, window, corridor_step)
+            corridor, pts, stations, offsets = _window_geometry(log, anchor, window)
         except InsufficientPreviewError:
             skipped += 1
             continue
@@ -320,22 +314,22 @@ def optimize_node_distances(
             continue
 
         cost, adjusted_best, (dn, dm, df) = best
-        if refine:
-            def objective(z):
-                gaps = np.exp(z)
-                cand = (gaps[0], gaps[0] + gaps[1], gaps[0] + gaps[1] + gaps[2])
-                if cand[2] > horizon:
-                    return 1e6 + cand[2]
-                return scored(cand)[1]
 
-            z0 = np.log([dn, dm - dn, df - dm])
-            res = minimize(objective, z0, method="Nelder-Mead",
-                           options={"maxfev": 150, "xatol": 1e-3, "fatol": 1e-9})
-            gaps = np.exp(res.x)
-            cand = (float(gaps[0]), float(gaps[0] + gaps[1]), float(gaps[0] + gaps[1] + gaps[2]))
-            raw, adjusted = scored(cand)
-            if adjusted <= adjusted_best:
-                (dn, dm, df), cost = cand, raw
+        def objective(z):
+            gaps = np.exp(z)
+            cand = (gaps[0], gaps[0] + gaps[1], gaps[0] + gaps[1] + gaps[2])
+            if cand[2] > horizon:
+                return 1e6 + cand[2]
+            return scored(cand)[1]
+
+        z0 = np.log([dn, dm - dn, df - dm])
+        res = minimize(objective, z0, method="Nelder-Mead",
+                       options={"maxfev": 150, "xatol": 1e-3, "fatol": 1e-9})
+        gaps = np.exp(res.x)
+        cand = (float(gaps[0]), float(gaps[0] + gaps[1]), float(gaps[0] + gaps[1] + gaps[2]))
+        raw, adjusted = scored(cand)
+        if adjusted <= adjusted_best:
+            (dn, dm, df), cost = cand, raw
         optima.append((float(dn), float(dm), float(df), float(cost)))
 
     if not optima:
@@ -362,7 +356,6 @@ def node_count_tradeoff(
     log: DriveLog,
     counts=range(1, 11),
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
-    corridor_step: float = DEFAULT_CORRIDOR_STEP_M,
     repeats: int = 3,
 ) -> list[tuple[int, float, float]]:
     """Midline fitting error versus planning time for varying node counts.
@@ -376,10 +369,7 @@ def node_count_tradeoff(
     counts = list(counts)
     if not counts or any(c < 1 for c in counts):
         raise ValueError("counts must be positive")
-    corridors = []
-    for row in range(0, len(log), retrigger):
-        corridor = corridor_from_polynomial(log.polynomial(row), corridor_step)
-        corridors.append(corridor)
+    corridors = [corridor_from_polynomial(log.polynomial(row)) for row in range(0, len(log), retrigger)]
     if not corridors:
         raise EmptyDatasetError("log has no replanning cycles")
 

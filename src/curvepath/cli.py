@@ -44,6 +44,7 @@ from .simulate import (
     run_replay,
     s_curve_scenario,
     winding_scenario,
+    write_json,
 )
 
 USAGE_ERROR = 1
@@ -83,14 +84,14 @@ def _scenario_from(args, config: dict) -> ScenarioSpec:
 
 
 def _node_params(args, config: dict) -> NodePointParams:
-    distances = getattr(args, "node_distances", None) or config.get("node_distances")
+    distances = args.node_distances or config.get("node_distances")
     if distances is None:
         return NodePointParams()
     return NodePointParams(*(float(d) for d in distances))
 
 
 def _retrigger(args, config: dict) -> int:
-    if getattr(args, "retrigger", None) is not None:
+    if args.retrigger is not None:
         return args.retrigger
     return int(config.get("retrigger", DEFAULT_RETRIGGER_CYCLES))
 
@@ -101,12 +102,6 @@ def _load_gains(path: str) -> GainMatrix:
     if isinstance(data, dict):
         data = data["gains_row_major"]
     return GainMatrix.from_row_major(data)
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _random_gains(rng: np.random.Generator) -> GainMatrix:
@@ -152,7 +147,7 @@ def _cmd_synth(args) -> int:
         "seed": args.seed,
         "drivers": drivers,
     }
-    _write_json(out_dir / "cohort.json", manifest)
+    write_json(out_dir / "cohort.json", manifest)
     print(f"wrote {len(drivers)} driver logs and cohort.json to {out_dir}")
     return 0
 
@@ -185,7 +180,7 @@ def _cmd_calibrate(args) -> int:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     payload.update(extras)
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
 
     if args.sweep_nodes:
         sweep = node_count_tradeoff(log, retrigger=retrigger)
@@ -233,15 +228,15 @@ def _evaluate_driver(log: DriveLog, road, params, retrigger, vehicle, segments):
 
 
 def _cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
     cohort_path = Path(args.cohort)
     with open(cohort_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    # the cohort's own node distances and retrigger rank below the config
+    recorded = {k: manifest[k] for k in ("node_distances", "retrigger") if k in manifest}
+    config = {**recorded, **_load_config(args.config)}
     scenario = ScenarioSpec.from_dict(manifest["scenario"])
-    params = NodePointParams(*manifest.get("node_distances", NodePointParams().distances))
-    retrigger = int(manifest.get("retrigger", DEFAULT_RETRIGGER_CYCLES))
-    if getattr(args, "retrigger", None) is not None:
-        retrigger = args.retrigger
+    params = _node_params(args, config)
+    retrigger = _retrigger(args, config)
     road = build_scenario_road(scenario)
     vehicle = VehicleSpec(width=float(config.get("vehicle_width", args.vehicle_width)))
     segments = detect_curve_segments(
@@ -303,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--config", help="JSON config file with shared defaults")
         p.add_argument(
             "--node-distances", type=float, nargs=3, metavar=("NEAR", "MID", "FAR"),
@@ -315,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scenario", choices=["s-curve", "winding"], help="built-in scenario")
     p.add_argument("--drivers", type=int, default=15, help="number of drivers")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--sigma", type=float, default=0.05, help="offset noise sigma in metres")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)

@@ -10,7 +10,6 @@ offset and curvature series for one segment.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -18,12 +17,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .road import Corridor
-from .simulate import SimTrace, format_float
+from .simulate import SimTrace, format_float, write_json
 
 DEFAULT_KAPPA_THRESHOLD = 0.001
 DEFAULT_MIN_CURVE_LENGTH_M = 50.0
 ZERO_OFFSET_BAND_M = 0.01
 DEFAULT_VEHICLE_WIDTH_M = 1.8
+# Case-study windows reach this far beyond the segment so lead-in behaviour
+# is visible.
+CASE_STUDY_MARGIN_M = 60.0
 
 SAFETY_HEADER = "driver_id,border_violation_pct,min_border_distance_m"
 PERFORMANCE_HEADER = "driver_id,avg_distance_m,max_distance_m,side_correctness_pct"
@@ -223,18 +225,17 @@ def emit_case_study(
     segment: CurveSegment,
     offsets_path,
     curvature_path,
-    margin: float = 60.0,
 ) -> tuple[str, str]:
     """Write offset and curvature series around one curve segment.
 
     The offsets file holds (s, planned, ref); the curvature file holds
     (s, planned, ref, corridor, planned minus corridor). The window extends
-    `margin` metres beyond the segment so lead-in behaviour is visible.
+    CASE_STUDY_MARGIN_M beyond both ends of the segment.
     """
     _require_stations(trace, "planned")
     _require_stations(human, "human")
-    lo = max(0.0, segment.start_s - margin)
-    hi = min(corridor.length, segment.end_s + margin)
+    lo = max(0.0, segment.start_s - CASE_STUDY_MARGIN_M)
+    hi = min(corridor.length, segment.end_s + CASE_STUDY_MARGIN_M)
     mask = (trace.station >= lo) & (trace.station <= hi)
     if not np.any(mask):
         raise ValueError("planned trace does not cover the segment window")
@@ -267,84 +268,51 @@ def emit_case_study(
 # Cohort reports
 
 
-def write_safety_report(rows, csv_path, json_path=None) -> None:
-    """rows: iterable of (driver_id, SafetyReport)."""
+def _write_report(header: str, fields, rows, csv_path, json_path) -> None:
+    """One CSV line and one JSON entry per (driver_id, report) row; `fields`
+    maps a report to its values in the order of the header's columns."""
+    names = header.split(",")
     entries = []
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SAFETY_HEADER + "\n")
+        fh.write(header + "\n")
         for driver_id, report in rows:
-            pct = 100.0 * report.border_violation_ratio
-            fh.write(f"{driver_id},{format_float(pct)},{format_float(report.min_border_distance)}\n")
-            entries.append(
-                {
-                    "driver_id": driver_id,
-                    "border_violation_pct": pct,
-                    "min_border_distance_m": report.min_border_distance,
-                }
-            )
+            values = fields(report)
+            fh.write(",".join([str(driver_id), *map(format_float, values)]) + "\n")
+            entries.append(dict(zip(names, (driver_id, *values))))
     if json_path is not None:
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(entries, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(json_path, entries)
+
+
+def _read_report(csv_path, header: str, kind: str) -> list[dict]:
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{csv_path}: bad {kind} report header")
+    names = header.split(",")
+    out = []
+    for line in lines[1:]:
+        driver_id, *values = line.split(",")
+        out.append(
+            {"driver_id": driver_id, **{n: float(v) for n, v in zip(names[1:], values, strict=True)}}
+        )
+    return out
+
+
+def write_safety_report(rows, csv_path, json_path=None) -> None:
+    """rows: iterable of (driver_id, SafetyReport)."""
+    _write_report(SAFETY_HEADER, lambda r: (100.0 * r.border_violation_ratio, r.min_border_distance),
+                  rows, csv_path, json_path)
 
 
 def write_performance_report(rows, csv_path, json_path=None) -> None:
     """rows: iterable of (driver_id, PerformanceReport)."""
-    entries = []
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PERFORMANCE_HEADER + "\n")
-        for driver_id, report in rows:
-            pct = 100.0 * report.side_correctness
-            fh.write(
-                f"{driver_id},{format_float(report.avg_distance)},"
-                f"{format_float(report.max_distance)},{format_float(pct)}\n"
-            )
-            entries.append(
-                {
-                    "driver_id": driver_id,
-                    "avg_distance_m": report.avg_distance,
-                    "max_distance_m": report.max_distance,
-                    "side_correctness_pct": pct,
-                }
-            )
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(entries, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_report(PERFORMANCE_HEADER, lambda r: (r.avg_distance, r.max_distance, 100.0 * r.side_correctness),
+                  rows, csv_path, json_path)
 
 
 def read_safety_report(csv_path) -> list[dict]:
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != SAFETY_HEADER:
-        raise ValueError(f"{csv_path}: bad safety report header")
-    out = []
-    for line in lines[1:]:
-        d, pct, dist = line.split(",")
-        out.append(
-            {
-                "driver_id": d,
-                "border_violation_pct": float(pct),
-                "min_border_distance_m": float(dist),
-            }
-        )
-    return out
+    return _read_report(csv_path, SAFETY_HEADER, "safety")
 
 
 def read_performance_report(csv_path) -> list[dict]:
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != PERFORMANCE_HEADER:
-        raise ValueError(f"{csv_path}: bad performance report header")
-    out = []
-    for line in lines[1:]:
-        d, avg, mx, side = line.split(",")
-        out.append(
-            {
-                "driver_id": d,
-                "avg_distance_m": float(avg),
-                "max_distance_m": float(mx),
-                "side_correctness_pct": float(side),
-            }
-        )
-    return out
+    return _read_report(csv_path, PERFORMANCE_HEADER, "performance")

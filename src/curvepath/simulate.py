@@ -69,6 +69,13 @@ def format_float(value: float) -> str:
     return np.format_float_positional(float(value), unique=True, min_digits=9)
 
 
+def write_json(path, payload) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(eq=False)
 class DriveLog:
     """Columnar drive log: one row per perception cycle."""
@@ -280,14 +287,12 @@ class ScenarioSpec:
         }
 
 
-def build_scenario_road(spec: ScenarioSpec, step: float = DEFAULT_CORRIDOR_STEP_M) -> Corridor:
+def build_scenario_road(spec: ScenarioSpec) -> Corridor:
     """Concatenate scenario segments into a global corridor.
 
     Positions come from the exact Euler-curve integral of each segment, so
     heading and curvature channels are consistent to quadrature accuracy.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
     from .clothoid import ClothoidSegment
 
     x, y, theta_u = 0.0, 0.0, 0.0
@@ -305,7 +310,7 @@ def build_scenario_road(spec: ScenarioSpec, step: float = DEFAULT_CORRIDOR_STEP_
             kappa_rate=rate,
             length=seg.length,
         )
-        n = max(1, int(math.ceil(seg.length / step)))
+        n = max(1, int(math.ceil(seg.length / DEFAULT_CORRIDOR_STEP_M)))
         local = np.linspace(0.0, seg.length, n + 1)
         xs, ys, _ = curve.sample(local)
         ths = theta_u + seg.kappa_start * local + 0.5 * rate * local**2
@@ -328,42 +333,29 @@ def build_scenario_road(spec: ScenarioSpec, step: float = DEFAULT_CORRIDOR_STEP_
     )
 
 
-def s_curve_scenario(
-    kappa: float = 0.0045,
-    arc_length: float = 50.0,
-    transition_length: float = 120.0,
-    approach: float = 250.0,
-    lane_width: float = DEFAULT_LANE_WIDTH_M,
-    speed: float = DEFAULT_SPEED_MPS,
-) -> ScenarioSpec:
+def s_curve_scenario(kappa: float = 0.0045) -> ScenarioSpec:
     """Left-then-right S combination with clothoid transitions.
 
-    Defaults give a compact S whose lateral acceleration stays plausible at
-    the nominal speed, with the curve rolling from left to right without a
-    steady-state plateau."""
+    A compact S whose lateral acceleration stays plausible at the nominal
+    speed, with the curve rolling from left to right without a steady-state
+    plateau: 250 m approaches, 120 m transitions and 50 m arcs."""
     return ScenarioSpec(
         segments=(
-            RoadSegmentSpec.straight(approach),
-            RoadSegmentSpec.transition(transition_length, 0.0, kappa),
-            RoadSegmentSpec.arc(arc_length, kappa),
-            RoadSegmentSpec.transition(2.0 * transition_length, kappa, -kappa),
-            RoadSegmentSpec.arc(arc_length, -kappa),
-            RoadSegmentSpec.transition(transition_length, -kappa, 0.0),
-            RoadSegmentSpec.straight(approach),
-        ),
-        lane_width=lane_width,
-        speed=speed,
+            RoadSegmentSpec.straight(250.0),
+            RoadSegmentSpec.transition(120.0, 0.0, kappa),
+            RoadSegmentSpec.arc(50.0, kappa),
+            RoadSegmentSpec.transition(240.0, kappa, -kappa),
+            RoadSegmentSpec.arc(50.0, -kappa),
+            RoadSegmentSpec.transition(120.0, -kappa, 0.0),
+            RoadSegmentSpec.straight(250.0),
+        )
     )
 
 
 _WINDING_CURVATURES = (0.004, -0.006, 0.008, -0.003, 0.005, -0.008, 0.0035, -0.0045)
 
 
-def winding_scenario(
-    n_curves: int = 8,
-    lane_width: float = DEFAULT_LANE_WIDTH_M,
-    speed: float = DEFAULT_SPEED_MPS,
-) -> ScenarioSpec:
+def winding_scenario(n_curves: int = 8) -> ScenarioSpec:
     """Alternating curves of varied radius; rich excitation for calibration."""
     segments = [RoadSegmentSpec.straight(200.0)]
     for i in range(n_curves):
@@ -373,7 +365,7 @@ def winding_scenario(
         segments.append(RoadSegmentSpec.arc(arc, kappa))
         segments.append(RoadSegmentSpec.transition(60.0, kappa, 0.0))
         segments.append(RoadSegmentSpec.straight(80.0 + 30.0 * (i % 2)))
-    return ScenarioSpec(segments=tuple(segments), lane_width=lane_width, speed=speed)
+    return ScenarioSpec(segments=tuple(segments))
 
 
 # --------------------------------------------------------------------------
@@ -511,9 +503,6 @@ def generate_synthetic_driver_log(
     params: NodePointParams | None = None,
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
     speed: float = DEFAULT_SPEED_MPS,
-    sample_time: float = DEFAULT_SAMPLE_TIME_S,
-    preview: float = DEFAULT_PREVIEW_M,
-    corridor_step: float = DEFAULT_CORRIDOR_STEP_M,
 ) -> DriveLog:
     """Simulate a driver whose node offsets follow the ground-truth gains.
 
@@ -526,10 +515,10 @@ def generate_synthetic_driver_log(
     params = params or NodePointParams()
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
-    step = speed * sample_time
-    if road.length < preview + step:
+    step = speed * DEFAULT_SAMPLE_TIME_S
+    if road.length < DEFAULT_PREVIEW_M + step:
         raise ValueError(
-            f"road length {road.length:.1f} m cannot host a {preview:.0f} m preview"
+            f"road length {road.length:.1f} m cannot host a {DEFAULT_PREVIEW_M:.0f} m preview"
         )
     rng = np.random.default_rng(driver.seed)
     profile = _OffsetProfile()
@@ -539,7 +528,7 @@ def generate_synthetic_driver_log(
     rows_cycle = []
     rows = {name: [] for name in DriveLog._FLOAT_COLUMNS}
     i = 0
-    while i * step + preview <= road.length + 1e-9:
+    while i * step + DEFAULT_PREVIEW_M <= road.length + 1e-9:
         station = i * step
         delta, delta_rate = profile.eval(station)
         xm, ym, thm, km = _midline_state(road, station)
@@ -550,19 +539,18 @@ def generate_synthetic_driver_log(
             road,
             pose,
             station=station,
-            preview=preview,
             anchor_c0=-delta,
             anchor_c1=math.tan(relative_heading),
         )
         if i % retrigger == 0:
-            corr = corridor_from_polynomial(poly, corridor_step, lane_width=road.lane_width)
+            corr = corridor_from_polynomial(poly, lane_width=road.lane_width)
             kappas = average_curvatures(corr, params.distances)
             noise = driver.offset_noise_sigma * rng.standard_normal(3)
             deltas = gains @ kappas.as_array() + noise
             for n_row, value in zip(node_rows, deltas):
                 profile.commit((i + n_row) * step, float(value))
         rows_cycle.append(i)
-        rows["t"].append(i * sample_time)
+        rows["t"].append(i * DEFAULT_SAMPLE_TIME_S)
         rows["x"].append(pose.x)
         rows["y"].append(pose.y)
         rows["theta"].append(pose.theta)
@@ -577,8 +565,6 @@ def generate_synthetic_driver_log(
         raise ValueError("road too short to generate any cycle")
     return DriveLog(
         cycle=np.asarray(rows_cycle, dtype=np.int64),
-        sample_time=sample_time,
-        preview_length=preview,
         **{name: np.asarray(vals) for name, vals in rows.items()},
     )
 
@@ -696,9 +682,7 @@ class SimTrace:
                     ],
                 }
             records.append(entry)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, records)
 
 
 def run_replay(
@@ -707,7 +691,6 @@ def run_replay(
     params: NodePointParams | None = None,
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
     mode: str = "validation",
-    corridor_step: float = DEFAULT_CORRIDOR_STEP_M,
 ) -> SimTrace:
     """Replay a drive log with cyclic replanning.
 
@@ -747,17 +730,14 @@ def run_replay(
             try:
                 poly = log.polynomial(i)
                 corr_full = corridor_from_polynomial(
-                    poly, corridor_step, lane_width=float(log.lane_width[i])
+                    poly, lane_width=float(log.lane_width[i])
                 ).transformed(log.pose(i))
                 # Node distances are measured from the planning frame, i.e.
                 # from the replayed vehicle, which may run slightly ahead of
                 # or behind the recording vehicle the perception is tied to.
+                # A preview that ends before the far node raises in
+                # average_curvatures (or, if empty, in window).
                 s_ego, _ = corr_full.project(ego.x, ego.y)
-                if corr_full.length - s_ego < params.d_far:
-                    raise InsufficientPreviewError(
-                        f"cycle {i}: preview beyond the vehicle is "
-                        f"{corr_full.length - s_ego:.1f} m, below the far node"
-                    )
                 corr = corr_full.window(s_ego, corr_full.length - s_ego)
                 kbar = average_curvatures(corr, params.distances)
                 if mode == "estimation":
