@@ -8,13 +8,14 @@ maxima.
 
 import argparse
 
-from curvepath.calibration import node_count_tradeoff
+from curvepath.calibration import SWEEP_HEADER, node_count_tradeoff
 from curvepath.planner import GainMatrix
 from curvepath.simulate import (
     SyntheticDriverSpec,
     build_scenario_road,
     generate_synthetic_driver_log,
     s_curve_scenario,
+    write_csv,
 )
 
 
@@ -35,10 +36,7 @@ def main():
         print(f"{count:>5} {err:>12.4f} {elapsed:>12.4f}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("node_count,norm_mean_error,norm_planning_time\n")
-            for count, err, elapsed in sweep:
-                fh.write(f"{count},{err},{elapsed}\n")
+        write_csv(args.out, SWEEP_HEADER, list(zip(*sweep)))
         print(f"wrote {args.out}")
 
 

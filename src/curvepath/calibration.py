@@ -41,6 +41,8 @@ _INPUT_LABELS = ("kappa_on", "kappa_nm", "kappa_mf")
 
 DEFAULT_WINDOW_SAMPLES = 400
 
+SWEEP_HEADER = "node_count,norm_mean_error,norm_planning_time"
+
 
 class EmptyDatasetError(ValueError):
     """No replanning cycle in the log had sufficient preview."""

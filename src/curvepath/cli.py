@@ -17,12 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
+    SWEEP_HEADER,
     assemble_dataset,
     fit_gain_matrix,
     node_count_tradeoff,
     optimize_node_distances,
 )
 from .metrics import (
+    DEFAULT_KAPPA_THRESHOLD,
+    DEFAULT_MIN_CURVE_LENGTH_M,
+    DEFAULT_VEHICLE_WIDTH_M,
     VehicleSpec,
     detect_curve_segments,
     emit_case_study,
@@ -38,12 +42,12 @@ from .simulate import (
     ScenarioSpec,
     SyntheticDriverSpec,
     build_scenario_road,
-    format_float,
     generate_synthetic_driver_log,
     load_drive_log,
     run_replay,
     s_curve_scenario,
     winding_scenario,
+    write_csv,
     write_json,
 )
 
@@ -185,10 +189,7 @@ def _cmd_calibrate(args) -> int:
     if args.sweep_nodes:
         sweep = node_count_tradeoff(log, retrigger=retrigger)
         sweep_path = args.sweep_out or (str(args.out) + ".sweep.csv")
-        with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("node_count,norm_mean_error,norm_planning_time\n")
-            for count, err, t in sweep:
-                fh.write(f"{count},{format_float(err)},{format_float(t)}\n")
+        write_csv(sweep_path, SWEEP_HEADER, list(zip(*sweep)))
         print(f"wrote node-count sweep to {sweep_path}")
     print(
         f"calibrated {args.log}: {dataset.n_cycles} cycles, residual rms "
@@ -217,11 +218,31 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _curve_segments(road, config: dict, kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
+                    min_length=DEFAULT_MIN_CURVE_LENGTH_M):
+    """The road's curve segments; config keys rank above the given thresholds."""
+    segments = detect_curve_segments(
+        road,
+        kappa_threshold=float(config.get("kappa_threshold", kappa_threshold)),
+        min_length=float(config.get("min_curve_length", min_length)),
+    )
+    if not segments:
+        raise ValueError("scenario road contains no curve segments")
+    return segments
+
+
+def _replay_both(log: DriveLog, road, gains, params, retrigger):
+    """Planned (validation) and reference (estimation) replays projected onto the road."""
+    return tuple(
+        project_onto(run_replay(log, gains, params, retrigger, mode=mode), road)
+        for mode in ("validation", "estimation")
+    )
+
+
 def _evaluate_driver(log: DriveLog, road, params, retrigger, vehicle, segments):
     dataset = assemble_dataset(log, params, retrigger)
     gains = fit_gain_matrix(dataset).gains
-    planned = project_onto(run_replay(log, gains, params, retrigger, mode="validation"), road)
-    reference = project_onto(run_replay(log, gains, params, retrigger, mode="estimation"), road)
+    planned, reference = _replay_both(log, road, gains, params, retrigger)
     safety = safety_metrics(planned, road, vehicle, segments)
     performance = performance_metrics(planned, reference, segments)
     return safety, performance
@@ -239,13 +260,7 @@ def _cmd_evaluate(args) -> int:
     retrigger = _retrigger(args, config)
     road = build_scenario_road(scenario)
     vehicle = VehicleSpec(width=float(config.get("vehicle_width", args.vehicle_width)))
-    segments = detect_curve_segments(
-        road,
-        kappa_threshold=float(config.get("kappa_threshold", args.kappa_threshold)),
-        min_length=float(config.get("min_curve_length", args.min_curve_length)),
-    )
-    if not segments:
-        raise ValueError("scenario road contains no curve segments to evaluate")
+    segments = _curve_segments(road, config, args.kappa_threshold, args.min_curve_length)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,13 +287,10 @@ def _cmd_case_study(args) -> int:
     road = build_scenario_road(scenario)
     log = load_drive_log(args.log)
     gains = _load_gains(args.gains)
-    segments = detect_curve_segments(road)
-    if not segments:
-        raise ValueError("scenario road contains no curve segments")
+    segments = _curve_segments(road, config)
     if not 0 <= args.segment_index < len(segments):
         raise ValueError(f"segment index {args.segment_index} out of range 0..{len(segments) - 1}")
-    planned = project_onto(run_replay(log, gains, params, retrigger, mode="validation"), road)
-    reference = project_onto(run_replay(log, gains, params, retrigger, mode="estimation"), road)
+    planned, reference = _replay_both(log, road, gains, params, retrigger)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     offsets_path, curvature_path = emit_case_study(
@@ -337,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--cohort", required=True, help="cohort manifest JSON from synth")
     p.add_argument("--out-dir", required=True, help="report output directory")
-    p.add_argument("--vehicle-width", type=float, default=1.8)
-    p.add_argument("--kappa-threshold", type=float, default=0.001)
-    p.add_argument("--min-curve-length", type=float, default=50.0)
+    p.add_argument("--vehicle-width", type=float, default=DEFAULT_VEHICLE_WIDTH_M)
+    p.add_argument("--kappa-threshold", type=float, default=DEFAULT_KAPPA_THRESHOLD)
+    p.add_argument("--min-curve-length", type=float, default=DEFAULT_MIN_CURVE_LENGTH_M)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("case-study", help="emit offset and curvature series for one curve")

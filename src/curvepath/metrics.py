@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .road import Corridor
-from .simulate import SimTrace, format_float, write_json
+from .simulate import SimTrace, read_csv, write_csv, write_json
 
 DEFAULT_KAPPA_THRESHOLD = 0.001
 DEFAULT_MIN_CURVE_LENGTH_M = 50.0
@@ -250,17 +250,12 @@ def emit_case_study(
     kap_ref = np.interp(s_grid, h_station, human.kappa[h_order])
     kap_corridor = corridor.kappa_at(s_grid)
 
-    with open(offsets_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("s,offset_planned,offset_ref\n")
-        for s, a, b in zip(s_grid, off_planned, off_ref):
-            fh.write(f"{format_float(s)},{format_float(a)},{format_float(b)}\n")
-    with open(curvature_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("s,kappa_planned,kappa_ref,kappa_corridor,kappa_diff\n")
-        for s, a, b, c in zip(s_grid, kap_planned, kap_ref, kap_corridor):
-            fh.write(
-                f"{format_float(s)},{format_float(a)},{format_float(b)},"
-                f"{format_float(c)},{format_float(a - c)}\n"
-            )
+    write_csv(offsets_path, "s,offset_planned,offset_ref", [s_grid, off_planned, off_ref])
+    write_csv(
+        curvature_path,
+        "s,kappa_planned,kappa_ref,kappa_corridor,kappa_diff",
+        [s_grid, kap_planned, kap_ref, kap_corridor, kap_planned - kap_corridor],
+    )
     return str(offsets_path), str(curvature_path)
 
 
@@ -272,30 +267,18 @@ def _write_report(header: str, fields, rows, csv_path, json_path) -> None:
     """One CSV line and one JSON entry per (driver_id, report) row; `fields`
     maps a report to its values in the order of the header's columns."""
     names = header.split(",")
-    entries = []
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for driver_id, report in rows:
-            values = fields(report)
-            fh.write(",".join([str(driver_id), *map(format_float, values)]) + "\n")
-            entries.append(dict(zip(names, (driver_id, *values))))
+    entries = [dict(zip(names, (driver_id, *fields(report)))) for driver_id, report in rows]
+    write_csv(csv_path, header, [[entry[name] for entry in entries] for name in names])
     if json_path is not None:
         write_json(json_path, entries)
 
 
 def _read_report(csv_path, header: str, kind: str) -> list[dict]:
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != header:
-        raise ValueError(f"{csv_path}: bad {kind} report header")
     names = header.split(",")
-    out = []
-    for line in lines[1:]:
-        driver_id, *values = line.split(",")
-        out.append(
-            {"driver_id": driver_id, **{n: float(v) for n, v in zip(names[1:], values, strict=True)}}
-        )
-    return out
+    return read_csv(
+        csv_path, header, f"{kind} report",
+        lambda f: {names[0]: f[0], **{n: float(v) for n, v in zip(names[1:], f[1:])}},
+    )
 
 
 def write_safety_report(rows, csv_path, json_path=None) -> None:

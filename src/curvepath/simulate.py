@@ -57,7 +57,7 @@ TRACE_HEADER = "cycle,x,y,theta,offset,path_id"
 
 
 class LogFormatError(ValueError):
-    """Drive log file does not match the CSV schema."""
+    """A CSV file (drive log, trace, report) does not match its table's header."""
 
 
 class ReplayError(RuntimeError):
@@ -67,6 +67,47 @@ class ReplayError(RuntimeError):
 def format_float(value: float) -> str:
     """Fixed-notation float with at least 9 fractional digits, exact round trip."""
     return np.format_float_positional(float(value), unique=True, min_digits=9)
+
+
+def write_csv(path, header: str, columns) -> None:
+    """CSV table: the header line, then row i of every column, comma separated.
+
+    Float columns are written with format_float, every other column with
+    str; UTF-8 with '\\n' line endings.
+    """
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        cells.append(list(map(format_float if values.dtype.kind == "f" else str, values.tolist())))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+
+
+def read_csv(path, header: str, kind: str, convert) -> list:
+    """Rows of a CSV table in the write_csv format, each passed through `convert`.
+
+    The first line must be `header`; blank lines are skipped. A row whose
+    column count differs from the header's, or that `convert` rejects with
+    a ValueError, raises LogFormatError naming the path and the line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise LogFormatError(f"{path}: bad {kind} header (expected '{header}')")
+    width = header.count(",") + 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise LogFormatError(f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
+        try:
+            rows.append(convert(fields))
+        except ValueError as exc:
+            raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
+    return rows
 
 
 def write_json(path, payload) -> None:
@@ -134,31 +175,12 @@ class DriveLog:
         )
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(LOG_HEADER + "\n")
-            for i in range(len(self)):
-                fields = [str(int(self.cycle[i]))]
-                fields += [format_float(getattr(self, name)[i]) for name in self._FLOAT_COLUMNS]
-                fh.write(",".join(fields) + "\n")
+        write_csv(path, LOG_HEADER, [self.cycle, *(getattr(self, name) for name in self._FLOAT_COLUMNS)])
 
 
 def load_drive_log(path) -> DriveLog:
     """Parse and validate a drive log CSV."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != LOG_HEADER:
-        raise LogFormatError(f"{path}: missing or malformed header (expected '{LOG_HEADER}')")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise LogFormatError(f"{path}: line {lineno}: expected 11 columns, got {len(parts)}")
-        try:
-            rows.append([int(parts[0])] + [float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
+    rows = read_csv(path, LOG_HEADER, "drive log", lambda f: [int(f[0]), *map(float, f[1:])])
     if not rows:
         raise LogFormatError(f"{path}: empty log (no data rows)")
     data = np.asarray(rows, dtype=float)
@@ -170,16 +192,7 @@ def load_drive_log(path) -> DriveLog:
         sample_time = DEFAULT_SAMPLE_TIME_S
     return DriveLog(
         cycle=data[:, 0].astype(np.int64),
-        t=data[:, 1],
-        x=data[:, 2],
-        y=data[:, 3],
-        theta=data[:, 4],
-        speed=data[:, 5],
-        c0=data[:, 6],
-        c1=data[:, 7],
-        c2=data[:, 8],
-        c3=data[:, 9],
-        lane_width=data[:, 10],
+        **dict(zip(DriveLog._FLOAT_COLUMNS, data[:, 1:].T)),
         sample_time=sample_time,
     )
 
@@ -577,6 +590,7 @@ def node_row_indices(log: DriveLog, row: int, distances) -> list[int]:
     """Rows at which the recorded vehicle has travelled closest to each node
     distance ahead of `row` (distance integrates the logged speed)."""
     speeds = log.speed[row:]
+    # stations[j] is where row + j was logged; the last lies a cycle past the log's end
     stations = np.concatenate(([0.0], np.cumsum(speeds * log.sample_time)))
     indices = []
     for d in distances:
@@ -584,9 +598,9 @@ def node_row_indices(log: DriveLog, row: int, distances) -> list[int]:
         candidates = [j for j in (k - 1, k) if 0 <= j < stations.size]
         best = min(candidates, key=lambda j: abs(stations[j] - d))
         local_step = max(float(np.max(speeds[: best + 1], initial=0.0)) * log.sample_time, 1e-9)
-        if abs(stations[best] - d) > local_step:
+        if best == speeds.size or abs(stations[best] - d) > local_step:
             raise InsufficientPreviewError(
-                f"log ends {d - stations[-1]:.1f} m before the node point "
+                f"log ends {d - stations[-2]:.1f} m before the node point "
                 f"{d:.1f} m ahead of cycle {int(log.cycle[row])}"
             )
         indices.append(row + best)
@@ -639,22 +653,7 @@ class SimTrace:
         return int(self.cycle.size)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for i in range(len(self)):
-                fh.write(
-                    ",".join(
-                        (
-                            str(int(self.cycle[i])),
-                            format_float(self.x[i]),
-                            format_float(self.y[i]),
-                            format_float(self.theta[i]),
-                            format_float(self.offset[i]),
-                            str(int(self.path_id[i])),
-                        )
-                    )
-                    + "\n"
-                )
+        write_csv(path, TRACE_HEADER, [self.cycle, self.x, self.y, self.theta, self.offset, self.path_id])
 
     def replans_to_json(self, path) -> None:
         def pose_dict(p: Pose) -> dict:
