@@ -94,10 +94,13 @@ def _node_params(args, config: dict) -> NodePointParams:
     return NodePointParams(*(float(d) for d in distances))
 
 
+def _setting(flag, config: dict, key: str, default):
+    """A flag that was given beats the config key, which beats the default."""
+    return flag if flag is not None else config.get(key, default)
+
+
 def _retrigger(args, config: dict) -> int:
-    if args.retrigger is not None:
-        return args.retrigger
-    return int(config.get("retrigger", DEFAULT_RETRIGGER_CYCLES))
+    return int(_setting(args.retrigger, config, "retrigger", DEFAULT_RETRIGGER_CYCLES))
 
 
 def _load_gains(path: str) -> GainMatrix:
@@ -218,14 +221,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _curve_segments(road, config: dict, kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
-                    min_length=DEFAULT_MIN_CURVE_LENGTH_M):
-    """The road's curve segments; config keys rank above the given thresholds."""
-    segments = detect_curve_segments(
-        road,
-        kappa_threshold=float(config.get("kappa_threshold", kappa_threshold)),
-        min_length=float(config.get("min_curve_length", min_length)),
-    )
+def _curve_segments(road, config: dict, kappa_threshold=None, min_length=None):
+    """The road's curve segments; given thresholds rank above the config keys."""
+    kappa_threshold = _setting(kappa_threshold, config, "kappa_threshold", DEFAULT_KAPPA_THRESHOLD)
+    min_length = _setting(min_length, config, "min_curve_length", DEFAULT_MIN_CURVE_LENGTH_M)
+    segments = detect_curve_segments(road, kappa_threshold=float(kappa_threshold), min_length=float(min_length))
     if not segments:
         raise ValueError("scenario road contains no curve segments")
     return segments
@@ -259,7 +259,8 @@ def _cmd_evaluate(args) -> int:
     params = _node_params(args, config)
     retrigger = _retrigger(args, config)
     road = build_scenario_road(scenario)
-    vehicle = VehicleSpec(width=float(config.get("vehicle_width", args.vehicle_width)))
+    width = _setting(args.vehicle_width, config, "vehicle_width", DEFAULT_VEHICLE_WIDTH_M)
+    vehicle = VehicleSpec(width=float(width))
     segments = _curve_segments(road, config, args.kappa_threshold, args.min_curve_length)
 
     out_dir = Path(args.out_dir)
@@ -349,9 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--cohort", required=True, help="cohort manifest JSON from synth")
     p.add_argument("--out-dir", required=True, help="report output directory")
-    p.add_argument("--vehicle-width", type=float, default=DEFAULT_VEHICLE_WIDTH_M)
-    p.add_argument("--kappa-threshold", type=float, default=DEFAULT_KAPPA_THRESHOLD)
-    p.add_argument("--min-curve-length", type=float, default=DEFAULT_MIN_CURVE_LENGTH_M)
+    p.add_argument("--vehicle-width", type=float,
+                   help=f"vehicle width in metres (default {DEFAULT_VEHICLE_WIDTH_M})")
+    p.add_argument("--kappa-threshold", type=float,
+                   help=f"curve detection curvature threshold in 1/m (default {DEFAULT_KAPPA_THRESHOLD})")
+    p.add_argument("--min-curve-length", type=float,
+                   help=f"shortest curve segment in metres (default {DEFAULT_MIN_CURVE_LENGTH_M})")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("case-study", help="emit offset and curvature series for one curve")

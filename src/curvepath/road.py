@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -216,6 +217,11 @@ class Corridor:
     @property
     def length(self) -> float:
         return float(self.s[-1])
+
+    @cached_property
+    def min_step(self) -> float:
+        """Shortest arc-length step between consecutive samples."""
+        return float(np.min(np.diff(self.s)))
 
     def heading_unwrapped_at(self, station) -> np.ndarray | float:
         out = np.interp(station, self.s, self.theta)

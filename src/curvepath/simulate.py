@@ -463,6 +463,73 @@ def offset_pose_on(road: Corridor, station: float, delta: float, delta_rate: flo
 _FIT_WEIGHT_SCALE_M = 50.0
 
 
+def _fit_lane_block(road: Corridor, x, y, theta, station, preview: float, anchor_c0=None, anchor_c1=None):
+    """Lane polynomial coefficients (c0, c1, c2, c3) of B ego poses, shape (B, 4).
+
+    x, y, theta and station hold one entry per pose; an anchor is None (the
+    coefficient is fitted) or one value per pose, and anchor_c1 needs
+    anchor_c0. Each pose solves the weighted normal equations of its free
+    columns in t = xe / preview, all poses in one stacked solve.
+    """
+    if anchor_c1 is not None and anchor_c0 is None:
+        raise ValueError("anchor_c1 needs anchor_c0")
+    i0 = road.s.searchsorted(station - 1e-9, side="left")
+    i1 = road.s.searchsorted(station + preview + 1e-9, side="right")
+    count = i1 - i0
+    if count.min() < 8:
+        j = int(np.argmax(count < 8))
+        raise InsufficientPreviewError(
+            f"only {count[j]} midline samples in the preview window at station {station[j]:.1f}"
+        )
+    # Every window is padded with zero weights to one width set by the road
+    # and the preview alone, which no window exceeds. Sums over rows of one
+    # width round alike, so a pose's fit does not depend on the poses it is
+    # fitted with.
+    width = min(len(road), int((preview + 2e-9) / road.min_step) + 2)
+    idx = i0[:, None] + np.arange(width)
+    inside = idx < i1[:, None]
+    np.minimum(idx, len(road) - 1, out=idx)
+    # math.cos per pose: a vectorised cos may round one lane unlike another
+    rotation = np.array([(math.cos(a), math.sin(a)) for a in theta.tolist()])
+    c, s = rotation[:, :1], rotation[:, 1:]
+    dx = road.x[idx] - x[:, None]
+    dy = road.y[idx] - y[:, None]
+    xe = c * dx + s * dy
+    target = c * dy - s * dx
+    coeffs = np.empty((station.size, 4))
+    first = 0  # the free coefficients are c_first .. c3
+    if anchor_c0 is not None:
+        target -= anchor_c0[:, None]
+        coeffs[:, 0] = anchor_c0
+        first = 1
+    if anchor_c1 is not None:
+        target -= anchor_c1[:, None] * xe
+        coeffs[:, 1] = anchor_c1
+        first = 2
+    free = np.arange(first, 4)
+    # terms: weight * t**p for p = 0 .. 6, then weight * t**j * target for each free j
+    terms = np.empty((7 + free.size, *xe.shape))
+    powers = terms[:7]
+    # The fit minimises the sum of (w * residual)**2 with w = 1 / (1 + u**2)**2,
+    # so the weight is w**2 inside the window and 0 in its padding.
+    q = xe / _FIT_WEIGHT_SCALE_M
+    q *= q
+    q += 1.0
+    q *= q
+    q *= q
+    np.divide(inside, q, out=powers[0])
+    t = xe / preview
+    for p in range(1, 7):
+        np.multiply(powers[p - 1], t, out=powers[p])
+    np.multiply(powers[first:4], target, out=terms[7:])
+    sums = terms.sum(axis=-1)
+    normal = sums[free[:, None] + free].transpose(2, 0, 1)
+    solved = np.linalg.solve(normal, sums[7:].T[..., None])[..., 0]
+    # free unknown j multiplies t**j = (xe / preview)**j, c_j multiplies xe**j / j!
+    coeffs[:, first:] = solved * [math.factorial(j) / preview**j for j in free.tolist()]
+    return coeffs
+
+
 def fit_lane_polynomial(
     road: Corridor,
     ego: Pose,
@@ -476,38 +543,21 @@ def fit_lane_polynomial(
     station is the ego's midline station; the fit uses the midline samples
     from there to the end of the preview. anchor_c0 / anchor_c1 pin the
     intercept and slope (a calibrated camera's lateral offset and relative
-    heading outputs); the remaining coefficients are fitted. Pinning both
-    keeps the near field of consecutive fits mutually consistent, so
-    replayed plans do not inherit perception jitter.
+    heading outputs; the slope only with the intercept); the remaining
+    coefficients are fitted. Pinning both keeps the near field of
+    consecutive fits mutually consistent, so replayed plans do not inherit
+    perception jitter.
     """
-    i0 = int(np.searchsorted(road.s, station - 1e-9, side="left"))
-    i1 = int(np.searchsorted(road.s, station + preview + 1e-9, side="right"))
-    if i1 - i0 < 8:
-        raise InsufficientPreviewError(
-            f"only {i1 - i0} midline samples in the preview window at station {station:.1f}"
-        )
-    dx = road.x[i0:i1] - ego.x
-    dy = road.y[i0:i1] - ego.y
-    c, s = math.cos(ego.theta), math.sin(ego.theta)
-    xe = c * dx + s * dy
-    ye = -s * dx + c * dy
-    weight = 1.0 / (1.0 + (xe / _FIT_WEIGHT_SCALE_M) ** 2) ** 2
-    columns = [np.ones_like(xe), xe, 0.5 * xe**2, xe**3 / 6.0]
-    fixed = [anchor_c0, anchor_c1, None, None]
-    free = [i for i, v in enumerate(fixed) if v is None]
-    target = ye.copy()
-    for i, v in enumerate(fixed):
-        if v is not None:
-            target -= v * columns[i]
-    design = np.column_stack([columns[i] for i in free])
-    solved, *_ = np.linalg.lstsq(design * weight[:, None], target * weight, rcond=None)
-    coeffs = [0.0] * 4
-    for i, v in enumerate(fixed):
-        if v is not None:
-            coeffs[i] = float(v)
-    for i, v in zip(free, solved):
-        coeffs[i] = float(v)
-    return LanePolynomial(*coeffs, preview_length=preview)
+    coeffs = _fit_lane_block(
+        road,
+        np.array([ego.x]),
+        np.array([ego.y]),
+        np.array([ego.theta]),
+        np.array([station]),
+        preview,
+        *(None if v is None else np.array([v]) for v in (anchor_c0, anchor_c1)),
+    )
+    return LanePolynomial(*coeffs[0].tolist(), preview_length=preview)
 
 
 def generate_synthetic_driver_log(
@@ -524,6 +574,14 @@ def generate_synthetic_driver_log(
     are committed as waypoints of the lateral offset profile at the node
     stations, rounded to the nearest whole cycle of travel so every
     committed offset is realised exactly in a logged row.
+
+    The lane polynomials are fitted one retrigger block per kernel call: a
+    block runs from the row after a replanning cycle up to the next one, so
+    all its poses follow the profile as committed so far, and only its last
+    fit feeds the next commit. Each row's fit equals fit_lane_polynomial at
+    that row. The log is byte-deterministic per seed; since the lane fit
+    solves normal equations instead of a least-squares factorisation, it
+    differs in the last bits from logs written by earlier versions.
     """
     params = params or NodePointParams()
     if retrigger < 1:
@@ -538,47 +596,47 @@ def generate_synthetic_driver_log(
     node_rows = [max(1, round(d / step)) for d in params.distances]
     gains = driver.gains_true.p
 
-    rows_cycle = []
-    rows = {name: [] for name in DriveLog._FLOAT_COLUMNS}
-    i = 0
-    while i * step + DEFAULT_PREVIEW_M <= road.length + 1e-9:
-        station = i * step
-        delta, delta_rate = profile.eval(station)
-        xm, ym, thm, km = _midline_state(road, station)
-        steer = math.atan2(delta_rate, 1.0 - km * delta)
-        pose = Pose(xm - delta * math.sin(thm), ym + delta * math.cos(thm), thm + steer)
-        relative_heading = -steer
-        poly = fit_lane_polynomial(
-            road,
-            pose,
-            station=station,
-            anchor_c0=-delta,
-            anchor_c1=math.tan(relative_heading),
+    # one row per cycle whose preview still ends on the road
+    stations = np.arange(int((road.length - DEFAULT_PREVIEW_M) / step) + 2) * step
+    stations = stations[stations + DEFAULT_PREVIEW_M <= road.length + 1e-9]
+    n = stations.size
+    x, y, theta, c0, c1 = (np.empty(n) for _ in range(5))
+    coeffs = np.empty((n, 4))
+    lo = 0
+    while lo < n:
+        hi = min(-(-lo // retrigger) * retrigger, n - 1)  # the next replanning cycle
+        for i in range(lo, hi + 1):
+            station = i * step
+            delta, delta_rate = profile.eval(station)
+            xm, ym, thm, km = _midline_state(road, station)
+            steer = math.atan2(delta_rate, 1.0 - km * delta)
+            x[i], y[i], theta[i] = xm - delta * math.sin(thm), ym + delta * math.cos(thm), thm + steer
+            c0[i], c1[i] = -delta, math.tan(-steer)
+        block = slice(lo, hi + 1)
+        coeffs[block] = _fit_lane_block(
+            road, x[block], y[block], theta[block], stations[block], DEFAULT_PREVIEW_M, c0[block], c1[block]
         )
-        if i % retrigger == 0:
+        if hi % retrigger == 0:
+            poly = LanePolynomial(*coeffs[hi].tolist())
             corr = corridor_from_polynomial(poly, lane_width=road.lane_width)
             kappas = average_curvatures(corr, params.distances)
             noise = driver.offset_noise_sigma * rng.standard_normal(3)
             deltas = gains @ kappas.as_array() + noise
             for n_row, value in zip(node_rows, deltas):
-                profile.commit((i + n_row) * step, float(value))
-        rows_cycle.append(i)
-        rows["t"].append(i * DEFAULT_SAMPLE_TIME_S)
-        rows["x"].append(pose.x)
-        rows["y"].append(pose.y)
-        rows["theta"].append(pose.theta)
-        rows["speed"].append(speed)
-        rows["c0"].append(poly.c0)
-        rows["c1"].append(poly.c1)
-        rows["c2"].append(poly.c2)
-        rows["c3"].append(poly.c3)
-        rows["lane_width"].append(road.lane_width)
-        i += 1
-    if not rows_cycle:
-        raise ValueError("road too short to generate any cycle")
+                profile.commit((hi + n_row) * step, float(value))
+        lo = hi + 1
     return DriveLog(
-        cycle=np.asarray(rows_cycle, dtype=np.int64),
-        **{name: np.asarray(vals) for name, vals in rows.items()},
+        cycle=np.arange(n),
+        t=np.arange(n) * DEFAULT_SAMPLE_TIME_S,
+        x=x,
+        y=y,
+        theta=theta,
+        speed=np.full(n, speed),
+        c0=coeffs[:, 0],
+        c1=coeffs[:, 1],
+        c2=coeffs[:, 2],
+        c3=coeffs[:, 3],
+        lane_width=np.full(n, road.lane_width),
     )
 
 
