@@ -2,11 +2,13 @@
 """Parity check between two versions of curvepath.
 
 `write` runs the command line on fixed seeds and writes its canonical
-outputs into a directory: two synthetic cohorts with their manifests, one
-calibration (without the fields that name the time or the log path),
-validation and estimation traces with their replans, and the evaluation
-reports of both cohorts. `compare` checks two such directories file by
-file and prints the largest deviation of each.
+outputs into a directory: two synthetic cohorts with their manifests, two
+calibrations, one of them with node-distance optimisation and the
+node-count sweep (without the fields that name the time or the log path,
+and without the sweep's wall-time column), validation and estimation traces
+with their replans, both case-study series and the evaluation reports of
+both cohorts. `compare` checks two such directories file by file and
+prints the largest deviation of each.
 
     PYTHONPATH=src python scripts/parity.py write out/new
     PYTHONPATH=../parent/src python scripts/parity.py write out/parent
@@ -52,12 +54,33 @@ def write(out: Path) -> None:
     log = out / "winding" / "driver_01.csv"
     calibration = out / "calibrate.json"
     run("calibrate", "--log", log, "--out", calibration, "--retrigger", 7)
-    payload = json.loads(calibration.read_text())
-    del payload["provenance"]["timestamp"], payload["provenance"]["log_file"]
-    calibration.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _drop_provenance(calibration)
     for mode in ("validation", "estimation"):
         run("simulate", "--log", log, "--gains", calibration, "--mode", mode, "--retrigger", 7,
             "--out-prefix", out / mode)
+    run("case-study", "--log", log, "--gains", calibration, "--scenario", "winding", "--out-prefix",
+        out / "case_study")
+    # node distances and the sweep's errors come from thousands of composite fits
+    distances = out / "calibrate_distances.json"
+    sweep = out / "sweep.csv"
+    run("calibrate", "--log", log, "--out", distances, "--optimize-distances", "--sweep-nodes",
+        "--sweep-out", sweep)
+    _drop_provenance(distances)
+    _drop_column(sweep, "norm_planning_time")
+
+
+def _drop_provenance(path: Path) -> None:
+    """Remove the calibration fields that name the time and the log path."""
+    payload = json.loads(path.read_text())
+    del payload["provenance"]["timestamp"], payload["provenance"]["log_file"]
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _drop_column(path: Path, name: str) -> None:
+    """Remove one column, such as a wall-time measurement, from a CSV table."""
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    keep = [i for i, column in enumerate(rows[0]) if column != name]
+    path.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows), encoding="utf-8")
 
 
 def _value(text: str):

@@ -5,10 +5,25 @@ is a quadratic polynomial of arc length and positions are integrals of
 cos/sin of that polynomial. Those integrals are evaluated with panelised
 Gauss-Legendre quadrature, which is uniformly accurate from straight lines
 through circular arcs to strong spirals (no special casing near zero
-curvature rate is required). The rule has two kernels with the same nodes
-and panels: a scalar pure-Python loop for single points and for every step
-of a fit, where numpy's per-call overhead would dominate, and an array
-kernel for sampling many stations at once.
+curvature rate is required). Two kernels share one grid: a scalar
+pure-Python loop for single points and for every step of a fit, where
+numpy's per-call overhead would dominate, and an array kernel for sampling
+many stations at once.
+
+The grid is sized to the phase slope |a| + |b| of (a/2) t^2 + b t + c on
+[0, 1]: min(256, ceil((slope + 1) / 4)) equal panels, so a panel sees a
+phase rise r = slope / panels of at most 4 rad until the panel cap binds
+(slopes above 1020). Each panel gets 8 nodes for r <= 1, 10 for r <= 2.5,
+12 for r <= 4 and 24 beyond, where the cap binds. An n-node rule errs by at
+most (n!)^4 / ((2n+1) ((2n)!)^3) times the 2n-th derivative of the
+integrand scaled to the panel, which for exp(i phase) is at most
+sum_j (2n)! / (j! (2n-2j)! 2^j) r^(2n-j). That bounds the truncation error
+of the two integrals by 1.5e-15 (the Jacobian's moments by 2e-14) in every
+row, for the capped row up to r = 20 (slope 5120). Lane-keeping fits and
+samples almost all have slope below 1, so 8 nodes; rounding dominates what
+is left. On 20 000 random inputs with slopes from 1e-4 to 299 the integrals
+moved by at most 1.1e-15 from the former 24-node rule; above slope 1020 the
+rule is that one.
 
 G1 fitting normalises the problem to the chord frame and reduces it to a
 scalar root-find in the heading-integral parameter, solved by Newton with a
@@ -20,6 +35,7 @@ pi away from the chord direction (lane-keeping paths never loop).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,9 +44,9 @@ import numpy as np
 
 from .road import Pose, wrap_angle
 
-_GL_ORDER = 24
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-_GL_RULE = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+# (largest phase rise per panel in rad, Gauss-Legendre nodes per panel); see
+# the module docstring for the remainder bound each row keeps
+_GL_ORDERS = ((1.0, 8), (2.5, 10), (4.0, 12), (math.inf, 24))
 
 MAX_FIT_ITERATIONS = 100
 FIT_RESIDUAL_TOL = 1e-12
@@ -53,60 +69,67 @@ class FitConvergenceError(FitError):
         self.residual = residual
 
 
-def _panel_count(slope: float) -> int:
-    """Panels for a phase slope |a| + |b|: a few radians of phase per panel."""
-    return int(min(256, max(1, math.ceil((slope + 1.0) / 4.0))))
+@functools.lru_cache(maxsize=64)
+def _grid(panels: int, order: int):
+    """Nodes tau, tau**2 and weights of `panels` equal panels of `order` nodes on [0, 1].
+
+    Returned as read-only arrays for the array kernel and as (tau, tau**2,
+    weight) triples for the scalar kernel; both hold the same doubles.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    half = 0.5 / panels
+    tau = (((np.arange(panels) + 0.5) / panels)[:, None] + half * nodes[None, :]).ravel()
+    tau2 = tau * tau
+    wts = np.tile(half * weights, panels)
+    for array in (tau, tau2, wts):
+        array.flags.writeable = False
+    return tau, tau2, wts, tuple(zip(tau.tolist(), tau2.tolist(), wts.tolist()))
+
+
+def _rule(slope: float):
+    """The grid for a phase slope |a| + |b|: a few radians of phase per panel,
+    at most 256 panels, then the fewest nodes that keep the remainder bound
+    at the phase rise each panel sees."""
+    panels = min(256, math.ceil((slope + 1.0) / 4.0))
+    rise = slope / panels
+    for limit, order in _GL_ORDERS:
+        if rise <= limit:
+            return _grid(panels, order)
 
 
 def _scalar_phase_integrals(a: float, b: float, c: float, tau_moments: bool = False):
     """_phase_integrals for one (a, b, c), summed in a pure-Python loop.
 
-    Same nodes, weights, panels and per-node arithmetic as the array kernel;
-    only the summation order differs (sequential here, pairwise in numpy).
+    Same grid and per-node arithmetic as the array kernel; only the
+    summation order differs (sequential here, pairwise in numpy).
     """
-    panels = _panel_count(abs(a) + abs(b))
-    half = 0.5 / panels
     x0 = y0 = x1 = x2 = 0.0
-    for k in range(panels):
-        center = (k + 0.5) / panels
-        for node, weight in _GL_RULE:
-            tau = center + half * node
-            phase = 0.5 * a * (tau * tau) + b * tau + c
-            w = half * weight
-            cw = math.cos(phase) * w
-            x0 += cw
-            y0 += math.sin(phase) * w
-            if tau_moments:
-                x1 += cw * tau
-                x2 += cw * tau * tau
+    for tau, tau2, w in _rule(abs(a) + abs(b))[3]:
+        phase = 0.5 * a * tau2 + b * tau + c
+        cw = math.cos(phase) * w
+        x0 += cw
+        y0 += math.sin(phase) * w
+        if tau_moments:
+            x1 += cw * tau
+            x2 += cw * tau * tau
     if not tau_moments:
         return x0, y0
     return x0, y0, x1, x2
 
 
-def _phase_integrals(a, b, c, tau_moments: bool = False):
+def _phase_integrals(a, b, c: float, tau_moments: bool = False):
     """Integrals of cos/sin((a/2) t^2 + b t + c) over t in [0, 1].
 
-    Broadcasts over array-valued a, b, c. With tau_moments also returns the
-    first and second cosine moments (needed for the fit Jacobian). The
-    panel count follows the maximum phase slope so each panel sees only a
-    few radians of phase.
+    Elementwise over arrays a and b of one shape, with one scalar c. With
+    tau_moments also returns the first and second cosine moments (needed
+    for the fit Jacobian). One grid, sized by the largest phase slope,
+    serves every element.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
-    a, b, c = (np.broadcast_to(v, shape) for v in (a, b, c))
+    tau, tau2, wts, _ = _rule(float(np.max(np.abs(a) + np.abs(b))))
 
-    slope = np.max(np.abs(a) + np.abs(b)) if shape else abs(a) + abs(b)
-    panels = _panel_count(float(slope))
-
-    centers = (np.arange(panels) + 0.5) / panels
-    half = 0.5 / panels
-    tau = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-    wts = np.broadcast_to(half * _GL_WEIGHTS, (panels, _GL_ORDER)).ravel()
-
-    phase = 0.5 * a[..., None] * tau**2 + b[..., None] * tau + c[..., None]
+    phase = 0.5 * a[..., None] * tau2 + b[..., None] * tau + c
     cw = np.cos(phase) * wts
     sw = np.sin(phase) * wts
     x0 = cw.sum(axis=-1)
@@ -149,7 +172,7 @@ class ClothoidSegment:
             raise ValueError(f"arc length outside [0, {self.length}]")
         a = self.kappa_rate * s**2
         b = self.kappa0 * s
-        x0, y0 = _phase_integrals(a, b, np.full_like(s, self.start.theta))
+        x0, y0 = _phase_integrals(a, b, self.start.theta)
         return (
             self.start.x + s * x0,
             self.start.y + s * y0,
@@ -186,18 +209,20 @@ def _no_loop(big_a: float, delta: float, phi0: float) -> bool:
     return abs(q) <= math.pi + 1e-9
 
 
-def _root_valid(big_a: float, delta: float, phi0: float) -> bool:
+def _root_x0(big_a: float, delta: float, phi0: float) -> float | None:
+    """X(2A, delta - A, phi0) at a root on the no-loop branch, else None."""
     x0, _ = _scalar_phase_integrals(2.0 * big_a, delta - big_a, phi0)
-    return x0 > 1e-9 and _no_loop(big_a, delta, phi0)
+    return x0 if x0 > 1e-9 and _no_loop(big_a, delta, phi0) else None
 
 
-def _solve_flattening(phi0: float, phi1: float) -> float:
+def _solve_flattening(phi0: float, phi1: float) -> tuple[float, float]:
     """Solve Y(2A, delta - A, phi0) = 0 for the no-loop branch.
 
-    A controls how the heading bows away from the straight interpolation
-    between the end deviations; the linearised solution 3*(phi0 + phi1) is
-    exact for straight lines and circular arcs and an excellent Newton seed
-    otherwise.
+    Returns A and the chord projection X(2A, delta - A, phi0) > 1e-9 at it,
+    as the kernel computed it while checking the root. A controls how the
+    heading bows away from the straight interpolation between the end
+    deviations; the linearised solution 3*(phi0 + phi1) is exact for
+    straight lines and circular arcs and an excellent Newton seed otherwise.
     """
     delta = phi1 - phi0
     big_a = 3.0 * (phi0 + phi1)
@@ -207,7 +232,7 @@ def _solve_flattening(phi0: float, phi1: float) -> float:
         iterations += 1
         x0, g, x1, x2 = _scalar_phase_integrals(2.0 * big_a, delta - big_a, phi0, tau_moments=True)
         if abs(g) < FIT_RESIDUAL_TOL and x0 > 1e-9 and _no_loop(big_a, delta, phi0):
-            return big_a
+            return big_a, x0
         dg = x2 - x1
         if dg == 0.0 or not math.isfinite(dg):
             break
@@ -216,8 +241,8 @@ def _solve_flattening(phi0: float, phi1: float) -> float:
             break
         big_a -= step
         if abs(step) < 1e-15 * max(1.0, abs(big_a)):
-            if abs(g) < 1e-9 and _root_valid(big_a, delta, phi0):
-                return big_a
+            if abs(g) < 1e-9 and (x0 := _root_x0(big_a, delta, phi0)) is not None:
+                return big_a, x0
             break
 
     # Bisection fallback around the linearised seed: scan outward for a sign
@@ -226,7 +251,7 @@ def _solve_flattening(phi0: float, phi1: float) -> float:
     best_residual = math.inf
     for radius in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0):
         grid = seed + np.linspace(-radius, radius, 129)
-        _, gy = _phase_integrals(2.0 * grid, delta - grid, np.full_like(grid, phi0))
+        _, gy = _phase_integrals(2.0 * grid, delta - grid, phi0)
         best_residual = min(best_residual, float(np.min(np.abs(gy))))
         signs = np.sign(gy)
         change = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -239,8 +264,8 @@ def _solve_flattening(phi0: float, phi1: float) -> float:
                 mid = 0.5 * (lo + hi)
                 _, gm = _scalar_phase_integrals(2.0 * mid, delta - mid, phi0)
                 if abs(gm) < FIT_RESIDUAL_TOL or hi - lo < 1e-14 * max(1.0, abs(mid)):
-                    if _root_valid(mid, delta, phi0):
-                        return mid
+                    if (x0 := _root_x0(mid, delta, phi0)) is not None:
+                        return mid, x0
                     break
                 if glo * gm < 0:
                     hi = mid
@@ -273,12 +298,7 @@ def fit_g1(start: Pose, end: Pose) -> ClothoidSegment:
     phi1 = wrap_angle(end.theta - phi)
     delta = phi1 - phi0
 
-    big_a = _solve_flattening(phi0, phi1)
-    x0, _ = _scalar_phase_integrals(2.0 * big_a, delta - big_a, phi0)
-    if x0 <= 1e-9:
-        raise FitConvergenceError(
-            f"degenerate chord projection (phi0={phi0:.6f}, phi1={phi1:.6f})"
-        )
+    big_a, x0 = _solve_flattening(phi0, phi1)
     length = chord / x0
     return ClothoidSegment(
         start=start,
