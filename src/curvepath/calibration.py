@@ -198,6 +198,16 @@ def _window_geometry(log: DriveLog, anchor: int, window: int):
     return corridor, pts[keep], stations[keep], offsets[keep]
 
 
+def _sample_intervals(length: float) -> int:
+    """Number of sample intervals, of at most a metre, along a path.
+
+    The length is rounded to 1e-9 m first, so a length that quadrature puts
+    one rounding above a whole metre (150.00000000000003) gets no extra
+    sample.
+    """
+    return max(2, int(math.ceil(round(length, 9))))
+
+
 def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horizon) -> float:
     """Mean distance between the recorded points and the fitted path.
 
@@ -232,7 +242,7 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horiz
             ),
         )
     )
-    n = max(2, int(math.ceil(extended.length)))
+    n = _sample_intervals(extended.length)
     px, py, _ = extended.sample(np.linspace(0.0, extended.length, n + 1))
     rec = pts[stations <= horizon + 1e-9]
     if rec.shape[0] < 4:
@@ -387,7 +397,7 @@ def node_count_tradeoff(
         per_replan_err = []
         for corridor in corridors:
             path = plan_once(corridor, count)
-            n = max(2, int(math.ceil(path.length)))
+            n = _sample_intervals(path.length)
             px, py, _ = path.sample(np.linspace(0.0, path.length, n + 1))
             _, offsets = corridor.project_many(px, py)
             per_replan_err.append(float(np.mean(np.abs(offsets))))

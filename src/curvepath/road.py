@@ -79,8 +79,13 @@ def eval_lane_polynomial(poly: LanePolynomial, x):
         raise ValueError(
             f"x outside preview range [0, {poly.preview_length}]"
         )
-    y = poly.c0 + poly.c1 * xs + 0.5 * poly.c2 * xs**2 + (1.0 / 6.0) * poly.c3 * xs**3
+    y = _poly_value(poly, xs)
     return float(y) if np.isscalar(x) else y
+
+
+def _poly_value(poly: LanePolynomial, xs: np.ndarray):
+    """Lateral midline position y(x), without a range check."""
+    return poly.c0 + poly.c1 * xs + 0.5 * poly.c2 * xs**2 + (1.0 / 6.0) * poly.c3 * xs**3
 
 
 def _poly_slope_curvature(poly: LanePolynomial, xs: np.ndarray):
@@ -166,13 +171,27 @@ class CorridorError(ValueError):
 _HEADING_STEP_TOL = 0.02
 
 
+_CHANNELS = ("s", "x", "y", "theta", "kappa")
+_NOT_INCREASING = "corridor arc length must be strictly increasing"
+_HEADING_MISMATCH = "corridor heading increments inconsistent with curvature"
+
+
+def _heading_residual(dtheta, kappa0, kappa1, ds):
+    """|heading increment - trapezoidal curvature integral| over steps of
+    length ds; takes floats or arrays."""
+    return abs(dtheta - 0.5 * (kappa0 + kappa1) * ds)
+
+
 @dataclass(frozen=True, eq=False)
 class Corridor:
     """Arc-length sampled road midline.
 
     theta is stored unwrapped (continuous along s) so heading differences
     integrate curvature without 2*pi seams; poses returned by pose_at() carry
-    wrapped headings. Arrays are read-only after construction.
+    wrapped headings. The constructor copies its inputs and validates them in
+    full. The arrays are read-only afterwards, so a corridor derived from a
+    valid one (transformed, window) is checked only where its derivation can
+    break a rule.
     """
 
     s: np.ndarray
@@ -183,33 +202,43 @@ class Corridor:
     lane_width: float = DEFAULT_LANE_WIDTH_M
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("s", "x", "y", "theta", "kappa"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arrays[name] = arr
-        n = arrays["s"].size
+        arrays = [np.array(getattr(self, name), dtype=float, ndmin=1) for name in _CHANNELS]
+        s, _, _, theta, kappa = arrays
+        n = s.size
         if n < 2:
             raise CorridorError("corridor needs at least two samples")
-        for name, arr in arrays.items():
-            if arr.shape != (n,):
-                raise CorridorError(f"corridor array {name} has shape {arr.shape}, expected ({n},)")
-            if not np.all(np.isfinite(arr)):
-                raise CorridorError(f"corridor array {name} contains non-finite values")
-        if abs(arrays["s"][0]) > 1e-9:
+        if any(arr.shape != (n,) for arr in arrays) or not np.isfinite(np.concatenate(arrays)).all():
+            # name the first array at fault, its shape before its values
+            for name, arr in zip(_CHANNELS, arrays):
+                if arr.shape != (n,):
+                    raise CorridorError(f"corridor array {name} has shape {arr.shape}, expected ({n},)")
+                if not np.isfinite(arr).all():
+                    raise CorridorError(f"corridor array {name} contains non-finite values")
+        if abs(s[0]) > 1e-9:
             raise CorridorError("corridor arc length must start at 0")
-        arrays["s"] = arrays["s"] - arrays["s"][0]
-        ds = np.diff(arrays["s"])
-        if np.any(ds <= 0):
-            raise CorridorError("corridor arc length must be strictly increasing")
+        s -= s[0]
+        ds = s[1:] - s[:-1]
+        if (ds <= 0).any():
+            raise CorridorError(_NOT_INCREASING)
         if not self.lane_width > 0:
             raise CorridorError("lane_width must be positive")
-        dtheta = np.diff(arrays["theta"])
-        kappa_step = 0.5 * (arrays["kappa"][:-1] + arrays["kappa"][1:]) * ds
-        if np.any(np.abs(dtheta - kappa_step) > _HEADING_STEP_TOL):
-            raise CorridorError("corridor heading increments inconsistent with curvature")
-        for name, arr in arrays.items():
+        if (_heading_residual(theta[1:] - theta[:-1], kappa[:-1], kappa[1:], ds) > _HEADING_STEP_TOL).any():
+            raise CorridorError(_HEADING_MISMATCH)
+        self._store(arrays)
+
+    def _store(self, arrays) -> None:
+        for name, arr in zip(_CHANNELS, arrays):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _derived(cls, lane_width: float, *arrays: np.ndarray) -> "Corridor":
+        """Corridor from arrays s, x, y, theta, kappa that are valid by
+        construction and that no caller can write to; nothing is copied."""
+        corridor = object.__new__(cls)
+        object.__setattr__(corridor, "lane_width", lane_width)
+        corridor._store(arrays)
+        return corridor
 
     def __len__(self) -> int:
         return self.s.size
@@ -245,31 +274,53 @@ class Corridor:
 
     def transformed(self, anchor: Pose) -> "Corridor":
         """Map a corridor expressed in a local frame into the frame where the
-        local origin sits at `anchor`."""
+        local origin sits at `anchor`.
+
+        A rigid motion leaves s, kappa and the heading increments unchanged,
+        so the result is valid by construction and is not checked again.
+        """
         c, s = math.cos(anchor.theta), math.sin(anchor.theta)
-        return Corridor(
-            s=self.s,
-            x=anchor.x + c * self.x - s * self.y,
-            y=anchor.y + s * self.x + c * self.y,
-            theta=self.theta + anchor.theta,
-            kappa=self.kappa,
-            lane_width=self.lane_width,
+        return Corridor._derived(
+            self.lane_width,
+            self.s,
+            anchor.x + c * self.x - s * self.y,
+            anchor.y + s * self.x + c * self.y,
+            self.theta + anchor.theta,
+            self.kappa,
         )
 
     def window(self, start: float, length: float) -> "Corridor":
-        """Sub-corridor covering [start, start + length], rebased to s = 0."""
+        """Sub-corridor covering [start, start + length], rebased to s = 0.
+
+        The inner steps are steps of this corridor. The interpolated first
+        and last steps are new: a cut through a step with a curvature jump
+        leaves a heading residual of up to 0.125 * ds * dkappa, so those two
+        steps are checked.
+        """
         end = start + length
         if start < -1e-9 or end > self.length + 1e-9:
             raise ValueError("window outside corridor")
         inner = (self.s > start + 1e-12) & (self.s < end - 1e-12)
         stations = np.concatenate(([start], self.s[inner], [end]))
-        return Corridor(
-            s=stations - start,
-            x=np.interp(stations, self.s, self.x),
-            y=np.interp(stations, self.s, self.y),
-            theta=np.interp(stations, self.s, self.theta),
-            kappa=np.interp(stations, self.s, self.kappa),
-            lane_width=self.lane_width,
+        s = stations - start
+        theta = np.interp(stations, self.s, self.theta)
+        kappa = np.interp(stations, self.s, self.kappa)
+        # the two cut steps (the same step when no sample lies inside)
+        for i in (0, s.size - 2):
+            (s0, s1), (theta0, theta1), (kappa0, kappa1) = (
+                s[i : i + 2].tolist(), theta[i : i + 2].tolist(), kappa[i : i + 2].tolist()
+            )
+            if not s1 - s0 > 0:
+                raise CorridorError(_NOT_INCREASING)
+            if _heading_residual(theta1 - theta0, kappa0, kappa1, s1 - s0) > _HEADING_STEP_TOL:
+                raise CorridorError(_HEADING_MISMATCH)
+        return Corridor._derived(
+            self.lane_width,
+            s,
+            np.interp(stations, self.s, self.x),
+            np.interp(stations, self.s, self.y),
+            theta,
+            kappa,
         )
 
     def project(self, px: float, py: float) -> tuple[float, float]:
@@ -318,9 +369,11 @@ def corridor_from_polynomial(
         raise ValueError("step must be positive")
     n = max(2, int(math.ceil(poly.preview_length / step)) + 1)
     xs = np.linspace(0.0, poly.preview_length, n)
-    ys = eval_lane_polynomial(poly, xs)
+    ys = _poly_value(poly, xs)  # xs lies in [0, preview]: no range check
     dy, ddy = _poly_slope_curvature(poly, xs)
     theta = np.arctan(dy)
     kappa = ddy / (1.0 + dy**2) ** 1.5
-    s = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(xs), np.diff(ys)))))
+    s = np.empty(n)
+    s[0] = 0.0
+    np.cumsum(np.hypot(np.diff(xs), np.diff(ys)), out=s[1:])
     return Corridor(s=s, x=xs, y=ys, theta=theta, kappa=kappa, lane_width=lane_width)
