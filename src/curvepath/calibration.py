@@ -194,7 +194,10 @@ def _window_geometry(log: DriveLog, anchor: int, window: int):
     pts = np.column_stack((log.x[anchor:end], log.y[anchor:end]))
     stations, offsets = corridor.project_many(pts[:, 0], pts[:, 1])
     horizon = min(MAX_PREVIEW_M, corridor.length)
-    keep = (stations >= 0.0) & (stations <= horizon) & (np.diff(stations, prepend=-1.0) > 0)
+    # a station counts only above every earlier one, so np.interp over the
+    # kept stations sees a strictly increasing abscissa
+    rising = np.diff(np.maximum.accumulate(stations), prepend=-1.0) > 0
+    keep = (stations >= 0.0) & (stations <= horizon) & rising
     return corridor, pts[keep], stations[keep], offsets[keep]
 
 
@@ -244,10 +247,7 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horiz
     )
     n = _sample_intervals(extended.length)
     px, py, _ = extended.sample(np.linspace(0.0, extended.length, n + 1))
-    rec = pts[stations <= horizon + 1e-9]
-    if rec.shape[0] < 4:
-        return math.inf
-    _, _, signed = project_to_polyline(px, py, rec[:, 0], rec[:, 1])
+    _, _, signed = project_to_polyline(px, py, pts[:, 0], pts[:, 1])
     return float(np.mean(np.abs(signed)))
 
 

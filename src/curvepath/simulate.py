@@ -579,9 +579,7 @@ def generate_synthetic_driver_log(
     block runs from the row after a replanning cycle up to the next one, so
     all its poses follow the profile as committed so far, and only its last
     fit feeds the next commit. Each row's fit equals fit_lane_polynomial at
-    that row. The log is byte-deterministic per seed; since the lane fit
-    solves normal equations instead of a least-squares factorisation, it
-    differs in the last bits from logs written by earlier versions.
+    that row. The log is byte-deterministic per seed.
     """
     params = params or NodePointParams()
     if retrigger < 1:
