@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .clothoid import ClothoidSegment, CompositePath, FitError, fit_composite
+from .clothoid import CompositePath, FitError, fit_composite
 from .planner import (
     DEFAULT_RETRIGGER_CYCLES,
     MAX_PREVIEW_M,
@@ -224,27 +224,15 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horiz
     d_near, d_mid, d_far = distances
     if not (0.0 < d_near < d_mid < d_far <= horizon):
         return math.inf
-    node_poses = []
-    for d in distances:
-        measured = float(np.interp(d, stations, offsets))
-        node_poses.append(offset_point(corridor.pose_at(d), measured))
+    measured = np.interp(distances, stations, offsets).tolist()
+    node_poses = map(offset_point, corridor.poses_at(distances), measured)
     try:
         path = fit_composite((anchor_pose, *node_poses))
     except FitError:
         return math.inf
     last = path.segments[-1]
     tail = max(horizon - d_far, 0.0) + 1.0
-    extended = CompositePath(
-        segments=path.segments[:-1]
-        + (
-            ClothoidSegment(
-                start=last.start,
-                kappa0=last.kappa0,
-                kappa_rate=last.kappa_rate,
-                length=last.length + tail,
-            ),
-        )
-    )
+    extended = CompositePath(path.segments[:-1] + (replace(last, length=last.length + tail),))
     n = _sample_intervals(extended.length)
     px, py, _ = extended.sample(np.linspace(0.0, extended.length, n + 1))
     _, _, signed = project_to_polyline(px, py, pts[:, 0], pts[:, 1])
@@ -293,7 +281,7 @@ def optimize_node_distances(
     for anchor in range(0, len(log) - window + 1, stride):
         try:
             corridor, pts, stations, offsets = _window_geometry(log, anchor, window)
-        except InsufficientPreviewError:
+        except CorridorError:
             skipped += 1
             continue
         if stations.size < 8 or stations[-1] < 3.0 * grid_step:
@@ -381,39 +369,39 @@ def node_count_tradeoff(
     counts = list(counts)
     if not counts or any(c < 1 for c in counts):
         raise ValueError("counts must be positive")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     corridors = [corridor_from_polynomial(log.polynomial(row)) for row in range(0, len(log), retrigger)]
     if not corridors:
         raise EmptyDatasetError("log has no replanning cycles")
 
     def plan_once(corridor: Corridor, count: int):
         horizon = min(corridor.length, MAX_PREVIEW_M)
-        distances = horizon * (np.arange(1, count + 1) / count)
-        origin = corridor.pose_at(0.0)
-        nodes = [corridor.pose_at(float(d)) for d in distances]
-        return fit_composite((origin, *nodes))
-
-    errors = []
-    for count in counts:
-        per_replan_err = []
-        for corridor in corridors:
-            path = plan_once(corridor, count)
-            n = _sample_intervals(path.length)
-            px, py, _ = path.sample(np.linspace(0.0, path.length, n + 1))
-            _, offsets = corridor.project_many(px, py)
-            per_replan_err.append(float(np.mean(np.abs(offsets))))
-        errors.append(float(np.mean(per_replan_err)))
+        return fit_composite(corridor.poses_at(horizon * (np.arange(count + 1) / count)))
 
     # time each corridor at every count back to back and keep per-corridor
     # minima over the repeats, so a change of machine speed hits all counts
     # alike instead of whichever count happened to run during it
     best = np.full((len(counts), len(corridors)), math.inf)
+    paths = [[None] * len(corridors) for _ in counts]
     for _ in range(repeats):
         for j, corridor in enumerate(corridors):
             for i, count in enumerate(counts):
                 t0 = time.perf_counter()
-                plan_once(corridor, count)
+                paths[i][j] = plan_once(corridor, count)
                 best[i, j] = min(best[i, j], time.perf_counter() - t0)
     times = [float(t) for t in best.mean(axis=1)]
+
+    # the plans are deterministic, so the last repeat's paths are scored
+    errors = []
+    for row in paths:
+        per_replan_err = []
+        for corridor, path in zip(corridors, row):
+            n = _sample_intervals(path.length)
+            px, py, _ = path.sample(np.linspace(0.0, path.length, n + 1))
+            _, offsets = corridor.project_many(px, py)
+            per_replan_err.append(float(np.mean(np.abs(offsets))))
+        errors.append(float(np.mean(per_replan_err)))
 
     err_max = max(errors) if max(errors) > 0 else 1.0
     time_max = max(times)

@@ -60,7 +60,7 @@ class DegenerateFitError(FitError):
 
 
 class FitConvergenceError(FitError):
-    """Root search did not converge; carries the best residual seen."""
+    """Root search found no usable root; carries the best residual seen."""
 
     def __init__(self, message: str, residual: float = math.nan):
         super().__init__(message)
@@ -220,21 +220,22 @@ def _solve_flattening(phi0: float, phi1: float) -> tuple[float, float]:
     """
     delta = phi1 - phi0
     big_a = 3.0 * (phi0 + phi1)
-    best_residual = math.inf
+    best_residual, best_x = math.inf, math.nan
 
     for _ in range(32):
         x0, g, x1, x2 = _scalar_phase_integrals(2.0 * big_a, delta - big_a, phi0, tau_moments=True)
         if abs(g) < FIT_RESIDUAL_TOL and x0 > 1e-9 and _no_loop(big_a, delta, phi0):
             return big_a, x0
-        best_residual = min(best_residual, abs(g))
+        if abs(g) < best_residual:
+            best_residual, best_x = abs(g), x0
         dg = x2 - x1
         step = g / dg if dg != 0.0 else math.inf
         if not math.isfinite(step) or abs(step) > 100.0:
             break
         big_a -= step
     raise FitConvergenceError(
-        f"G1 root search did not converge (phi0={phi0:.6f}, phi1={phi1:.6f}, "
-        f"best residual {best_residual:.3e})",
+        f"G1 root search found no root with X > 1e-9 and no loop (phi0={phi0:.6f}, "
+        f"phi1={phi1:.6f}, best residual {best_residual:.3e} at X={best_x:.3e})",
         residual=best_residual,
     )
 
@@ -342,7 +343,8 @@ def fit_composite(node_poses) -> CompositePath:
         try:
             segments.append(fit_g1(a, b))
         except FitError as exc:
-            raise type(exc)(f"segment {i}: {exc}") from exc
+            exc.args = (f"segment {i}: {exc}", *exc.args[1:])
+            raise
     return CompositePath(segments=tuple(segments))
 
 

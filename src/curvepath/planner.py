@@ -124,11 +124,7 @@ def select_node_points(
             f"corridor length {corridor.length:.2f} m is shorter than the far "
             f"node distance {params.d_far:.2f} m"
         )
-    stations = np.array(params.distances)
-    xs, ys, thetas = (
-        np.interp(stations, corridor.s, v).tolist() for v in (corridor.x, corridor.y, corridor.theta)
-    )
-    return tuple(map(Pose, xs, ys, thetas)), params.distances
+    return corridor.poses_at(params.distances), params.distances
 
 
 def average_curvatures(corridor: Corridor, node_arclengths) -> CurvatureInput:

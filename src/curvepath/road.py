@@ -187,7 +187,7 @@ class Corridor:
     """Arc-length sampled road midline.
 
     theta is stored unwrapped (continuous along s) so heading differences
-    integrate curvature without 2*pi seams; poses returned by pose_at() carry
+    integrate curvature without 2*pi seams; poses returned by poses_at() carry
     wrapped headings. The constructor copies its inputs and validates them in
     full. The arrays are read-only afterwards, so a corridor derived from a
     valid one (transformed, window) is checked only where its derivation can
@@ -266,11 +266,20 @@ class Corridor:
             np.interp(station, self.s, self.y),
         )
 
+    def poses_at(self, stations) -> tuple[Pose, ...]:
+        """Midline poses at a sequence of arc lengths, each within [0, length]."""
+        stations = np.asarray(stations, dtype=float)
+        end = self.length + 1e-9
+        # a plan asks for three stations, which a Python loop checks faster
+        # than array comparisons and any() do
+        for station in stations.tolist():
+            if station < -1e-9 or station > end:
+                raise ValueError(f"station {station} outside corridor [0, {self.length}]")
+        xs, ys, thetas = (np.interp(stations, self.s, v).tolist() for v in (self.x, self.y, self.theta))
+        return tuple(map(Pose, xs, ys, thetas))
+
     def pose_at(self, station: float) -> Pose:
-        if station < -1e-9 or station > self.length + 1e-9:
-            raise ValueError(f"station {station} outside corridor [0, {self.length}]")
-        px, py = self.point_at(station)
-        return Pose(float(px), float(py), float(self.heading_unwrapped_at(station)))
+        return self.poses_at((station,))[0]
 
     def transformed(self, anchor: Pose) -> "Corridor":
         """Map a corridor expressed in a local frame into the frame where the
