@@ -352,28 +352,40 @@ def optimize_node_distances(
 # Node count trade-off
 
 
+class SweepRows(list):
+    """The node-count sweep's rows, and how many replans had no valid corridor."""
+
+    skipped_replans: int = 0
+
+
 def node_count_tradeoff(
     log: DriveLog,
     counts=range(1, 11),
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
     repeats: int = 3,
-) -> list[tuple[int, float, float]]:
+) -> SweepRows:
     """Midline fitting error versus planning time for varying node counts.
 
     For each count, paths are fitted through equidistant midline node points
     at every replan; the mean distance of the fitted path to the midline and
     the mean planning wall time are recorded, then both series are
     normalised by their maxima. A count's planning time is the mean over
-    replans of each replan's best of `repeats` timed fits.
+    replans of each replan's best of `repeats` timed fits. Replans whose
+    lane polynomial gives no valid corridor are skipped and counted.
     """
     counts = list(counts)
     if not counts or any(c < 1 for c in counts):
         raise ValueError("counts must be positive")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    corridors = [corridor_from_polynomial(log.polynomial(row)) for row in range(0, len(log), retrigger)]
+    corridors, skipped = [], 0
+    for row in range(0, len(log), retrigger):
+        try:
+            corridors.append(corridor_from_polynomial(log.polynomial(row)))
+        except CorridorError:
+            skipped += 1
     if not corridors:
-        raise EmptyDatasetError("log has no replanning cycles")
+        raise EmptyDatasetError(f"all {skipped} replanning cycles lacked a valid corridor")
 
     def plan_once(corridor: Corridor, count: int):
         horizon = min(corridor.length, MAX_PREVIEW_M)
@@ -405,7 +417,6 @@ def node_count_tradeoff(
 
     err_max = max(errors) if max(errors) > 0 else 1.0
     time_max = max(times)
-    return [
-        (count, err / err_max, t / time_max)
-        for count, err, t in zip(counts, errors, times)
-    ]
+    rows = SweepRows((count, err / err_max, t / time_max) for count, err, t in zip(counts, errors, times))
+    rows.skipped_replans = skipped
+    return rows

@@ -103,7 +103,7 @@ class OffsetVector:
         return np.array([self.delta_near, self.delta_mid, self.delta_far])
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.as_array())))
+        return max(abs(self.delta_near), abs(self.delta_mid), abs(self.delta_far))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +164,10 @@ def plan_path_from_offsets(
     """
     nominal, _ = select_node_points(corridor, params)
 
-    if offsets.max_abs() >= 0.5 * corridor.lane_width:
+    if (largest := offsets.max_abs()) >= 0.5 * corridor.lane_width:
         logger.warning(
             "node offset %.3f m reaches half the lane width (%.2f m)",
-            offsets.max_abs(),
+            largest,
             corridor.lane_width,
         )
 

@@ -431,18 +431,11 @@ class _OffsetProfile:
         return va + (vb - va) * blend, (vb - va) * dblend
 
 
-def _midline_state(road: Corridor, station: float) -> tuple[float, float, float, float]:
-    """Interpolated (x, y, theta, kappa) at a station, one binary search."""
-    i = int(np.searchsorted(road.s, station, side="right")) - 1
-    i = min(max(i, 0), len(road) - 2)
-    t = (station - road.s[i]) / (road.s[i + 1] - road.s[i])
-    t = min(max(t, 0.0), 1.0)
-    return (
-        float(road.x[i] + t * (road.x[i + 1] - road.x[i])),
-        float(road.y[i] + t * (road.y[i + 1] - road.y[i])),
-        float(road.theta[i] + t * (road.theta[i + 1] - road.theta[i])),
-        float(road.kappa[i] + t * (road.kappa[i + 1] - road.kappa[i])),
-    )
+def _offset_pose(xm: float, ym: float, thm: float, km: float, delta: float, delta_rate: float):
+    """(x, y, heading, steer) at offset delta from the midline pose (xm, ym, thm)
+    of curvature km; steer turns the midline heading to the offset curve's."""
+    steer = math.atan2(delta_rate, 1.0 - km * delta)
+    return xm - delta * math.sin(thm), ym + delta * math.cos(thm), thm + steer, steer
 
 
 def offset_pose_on(road: Corridor, station: float, delta: float, delta_rate: float = 0.0) -> Pose:
@@ -451,9 +444,9 @@ def offset_pose_on(road: Corridor, station: float, delta: float, delta_rate: flo
     delta_rate is d(delta)/d(station); the heading follows the offset curve
     tangent rather than the midline tangent.
     """
-    xm, ym, thm, km = _midline_state(road, station)
-    heading = thm + math.atan2(delta_rate, 1.0 - km * delta)
-    return Pose(xm - delta * math.sin(thm), ym + delta * math.cos(thm), heading)
+    xm, ym = road.point_at(station)
+    midline = float(xm), float(ym), road.heading_unwrapped_at(station), road.kappa_at(station)
+    return Pose(*_offset_pose(*midline, delta, delta_rate)[:3])
 
 
 # Distance weighting of the lane fit: near samples dominate, mirroring the
@@ -592,7 +585,6 @@ def generate_synthetic_driver_log(
     rng = np.random.default_rng(driver.seed)
     profile = _OffsetProfile()
     node_rows = [max(1, round(d / step)) for d in params.distances]
-    gains = driver.gains_true.p
 
     # one row per cycle whose preview still ends on the road
     stations = np.arange(int((road.length - DEFAULT_PREVIEW_M) / step) + 2) * step
@@ -603,23 +595,23 @@ def generate_synthetic_driver_log(
     lo = 0
     while lo < n:
         hi = min(-(-lo // retrigger) * retrigger, n - 1)  # the next replanning cycle
-        for i in range(lo, hi + 1):
-            station = i * step
-            delta, delta_rate = profile.eval(station)
-            xm, ym, thm, km = _midline_state(road, station)
-            steer = math.atan2(delta_rate, 1.0 - km * delta)
-            x[i], y[i], theta[i] = xm - delta * math.sin(thm), ym + delta * math.cos(thm), thm + steer
-            c0[i], c1[i] = -delta, math.tan(-steer)
         block = slice(lo, hi + 1)
+        at = stations[block]
+        # one midline lookup per channel per block; the rows work on Python floats
+        channels = (at, *road.point_at(at), road.heading_unwrapped_at(at), road.kappa_at(at))
+        for i, (station, xm, ym, thm, km) in enumerate(zip(*(c.tolist() for c in channels)), lo):
+            delta, delta_rate = profile.eval(station)
+            x[i], y[i], theta[i], steer = _offset_pose(xm, ym, thm, km, delta, delta_rate)
+            c0[i], c1[i] = -delta, math.tan(-steer)
         coeffs[block] = _fit_lane_block(
-            road, x[block], y[block], theta[block], stations[block], DEFAULT_PREVIEW_M, c0[block], c1[block]
+            road, x[block], y[block], theta[block], at, DEFAULT_PREVIEW_M, c0[block], c1[block]
         )
         if hi % retrigger == 0:
             poly = LanePolynomial(*coeffs[hi].tolist())
             corr = corridor_from_polynomial(poly, lane_width=road.lane_width)
             kappas = average_curvatures(corr, params.distances)
             noise = driver.offset_noise_sigma * rng.standard_normal(3)
-            deltas = gains @ kappas.as_array() + noise
+            deltas = compute_offsets(driver.gains_true, kappas).as_array() + noise
             for n_row, value in zip(node_rows, deltas):
                 profile.commit((hi + n_row) * step, float(value))
         lo = hi + 1

@@ -3,10 +3,11 @@ everywhere, and the work the sweep does per plan."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from curvepath import calibration
-from curvepath.calibration import node_count_tradeoff, optimize_node_distances
+from curvepath.calibration import EmptyDatasetError, node_count_tradeoff, optimize_node_distances
 from curvepath.planner import NodePointParams
 
 
@@ -42,3 +43,21 @@ def test_sweep_scores_the_timed_plans(clean_driver_log, monkeypatch):
 def test_sweep_needs_one_repeat(clean_driver_log, repeats):
     with pytest.raises(ValueError, match="repeats"):
         node_count_tradeoff(clean_driver_log, counts=(1, 2), repeats=repeats)
+
+
+def test_sweep_skips_a_replan_without_valid_corridor(clean_driver_log):
+    c2 = clean_driver_log.c2.copy()
+    c2[60] = 1.0  # a replanning row (retrigger 30)
+    corrupted = dataclasses.replace(clean_driver_log, c2=c2)
+    rows = node_count_tradeoff(corrupted, counts=(1, 2), repeats=1)
+    assert rows.skipped_replans == 1
+    assert [row[0] for row in rows] == [1, 2]
+    assert rows[0][1] == 1.0
+    assert node_count_tradeoff(clean_driver_log, counts=(1, 2), repeats=1).skipped_replans == 0
+
+
+def test_sweep_without_any_valid_corridor_raises(clean_driver_log):
+    corrupted = dataclasses.replace(clean_driver_log, c2=np.full_like(clean_driver_log.c2, 1.0))
+    replans = len(range(0, len(clean_driver_log), calibration.DEFAULT_RETRIGGER_CYCLES))
+    with pytest.raises(EmptyDatasetError, match=f"all {replans} replanning cycles"):
+        node_count_tradeoff(corrupted, counts=(1, 2), repeats=1)

@@ -232,3 +232,9 @@ class TestGainMatrix:
 class TestOffsetVector:
     def test_max_abs(self):
         assert OffsetVector(0.1, -0.4, 0.2).max_abs() == pytest.approx(0.4)
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_offset_max_abs_matches_the_array_maximum(values):
+    offsets = OffsetVector(*values)
+    assert offsets.max_abs() == float(np.max(np.abs(offsets.as_array())))
