@@ -34,6 +34,7 @@ def main():
     print(f"{'nodes':>5} {'norm error':>12} {'norm time':>12}")
     for count, err, elapsed in sweep:
         print(f"{count:>5} {err:>12.4f} {elapsed:>12.4f}")
+    print(f"skipped replans without a valid corridor: {sweep.skipped_replans}")
 
     if args.out:
         write_csv(args.out, SWEEP_HEADER, list(zip(*sweep)))

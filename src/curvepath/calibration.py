@@ -30,7 +30,6 @@ from .planner import (
 from .road import (
     Corridor,
     CorridorError,
-    corridor_from_polynomial,
     offset_point,
     project_to_polyline,
 )
@@ -117,7 +116,7 @@ def assemble_dataset(
     for row in range(0, len(log), retrigger):
         try:
             offsets = extract_measured_offsets(log, row, params)
-            corridor = corridor_from_polynomial(log.polynomial(row))
+            corridor = log.corridor(row)
             kappas = average_curvatures(corridor, params.distances)
         except (InsufficientPreviewError, CorridorError):
             skipped += 1
@@ -178,18 +177,24 @@ def fit_gain_matrix(data: RegressionDataset) -> CalibrationResult:
 
 @dataclass(frozen=True, eq=False)
 class NodeDistanceResult:
-    """Averaged optimum, per-window optima with costs, and a flat-cost flag."""
+    """Averaged optimum, per-window optima with costs, and a flat-cost flag.
+
+    Every window is used (one optimum), flat (its cost landscape is flat,
+    as on straight driving) or skipped (no valid corridor, too few stations
+    or no finite cost).
+    """
 
     params: NodePointParams
     window_optima: tuple[tuple[float, float, float, float], ...]
     flat_cost: bool
     skipped_windows: int
+    flat_windows: int
 
 
 def _window_geometry(log: DriveLog, anchor: int, window: int):
     """Midline corridor at the window anchor plus the recorded path expressed
     as stations and points along it."""
-    corridor = corridor_from_polynomial(log.polynomial(anchor)).transformed(log.pose(anchor))
+    corridor = log.corridor(anchor).transformed(log.pose(anchor))
     end = min(anchor + window, len(log))
     pts = np.column_stack((log.x[anchor:end], log.y[anchor:end]))
     stations, offsets = corridor.project_many(pts[:, 0], pts[:, 1])
@@ -260,8 +265,9 @@ def optimize_node_distances(
     recorded path is minimised over the distances under the ordering
     constraint. A coarse grid seeds a Nelder-Mead search on the
     positive-gap reparameterisation. Window optima are averaged; windows
-    with a flat cost landscape (straight driving) are skipped, and if every
-    window is flat the initial guess is returned flagged.
+    with a flat cost landscape (straight driving) are left out and counted
+    as flat, and if every window is flat or skipped, with at least one
+    flat, the initial guess is returned flagged.
     """
     if window < 2:
         raise ValueError("window must span at least 2 samples")
@@ -277,7 +283,6 @@ def optimize_node_distances(
     optima = []
     skipped = 0
     flat_windows = 0
-    evaluated_windows = 0
     for anchor in range(0, len(log) - window + 1, stride):
         try:
             corridor, pts, stations, offsets = _window_geometry(log, anchor, window)
@@ -307,7 +312,6 @@ def optimize_node_distances(
         if not costs or best[2] is None:
             skipped += 1
             continue
-        evaluated_windows += 1
         spread = max(costs) - min(costs)
         if spread < _FLAT_COST_EPS:
             flat_windows += 1
@@ -332,19 +336,20 @@ def optimize_node_distances(
             (dn, dm, df), cost = cand, raw
         optima.append((float(dn), float(dm), float(df), float(cost)))
 
-    if not optima:
-        if evaluated_windows and flat_windows == evaluated_windows:
-            return NodeDistanceResult(
-                params=initial, window_optima=(), flat_cost=True, skipped_windows=skipped
-            )
+    # a window that is neither skipped nor flat gives an optimum
+    if optima:
+        mean = np.array([o[:3] for o in optima]).mean(axis=0)
+        params = NodePointParams(float(mean[0]), float(mean[1]), float(mean[2]))
+    elif flat_windows:
+        params = initial
+    else:
         raise EmptyDatasetError(f"no usable optimisation window ({skipped} skipped)")
-    arr = np.array([o[:3] for o in optima])
-    mean = arr.mean(axis=0)
     return NodeDistanceResult(
-        params=NodePointParams(float(mean[0]), float(mean[1]), float(mean[2])),
+        params=params,
         window_optima=tuple(optima),
-        flat_cost=False,
+        flat_cost=not optima,
         skipped_windows=skipped,
+        flat_windows=flat_windows,
     )
 
 
@@ -381,7 +386,7 @@ def node_count_tradeoff(
     corridors, skipped = [], 0
     for row in range(0, len(log), retrigger):
         try:
-            corridors.append(corridor_from_polynomial(log.polynomial(row)))
+            corridors.append(log.corridor(row))
         except CorridorError:
             skipped += 1
     if not corridors:

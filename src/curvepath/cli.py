@@ -172,6 +172,7 @@ def _cmd_calibrate(args) -> int:
         result_distances = opt.params
         extras["distance_optimization"] = {
             "flat_cost": opt.flat_cost,
+            "flat_windows": opt.flat_windows,
             "skipped_windows": opt.skipped_windows,
             "window_optima": [list(o) for o in opt.window_optima],
         }
@@ -186,14 +187,16 @@ def _cmd_calibrate(args) -> int:
         "retrigger": retrigger,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    payload.update(extras)
-    write_json(args.out, payload)
-
+    # the sweep runs before the JSON is written, so a failing sweep leaves
+    # no calibration JSON behind
     if args.sweep_nodes:
         sweep = node_count_tradeoff(log, retrigger=retrigger)
         sweep_path = args.sweep_out or (str(args.out) + ".sweep.csv")
         write_csv(sweep_path, SWEEP_HEADER, list(zip(*sweep)))
         print(f"wrote node-count sweep to {sweep_path}")
+        extras["node_count_sweep"] = {"skipped_replans": sweep.skipped_replans}
+    payload.update(extras)
+    write_json(args.out, payload)
     print(
         f"calibrated {args.log}: {dataset.n_cycles} cycles, residual rms "
         f"{result.residual_rms:.3e} m -> {args.out}"

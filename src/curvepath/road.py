@@ -252,19 +252,20 @@ class Corridor:
         """Shortest arc-length step between consecutive samples."""
         return float(np.min(np.diff(self.s)))
 
-    def heading_unwrapped_at(self, station) -> np.ndarray | float:
-        out = np.interp(station, self.s, self.theta)
+    def _lookup(self, station, channel: np.ndarray) -> np.ndarray | float:
+        """A channel interpolated at station: a float for a scalar station,
+        otherwise an array."""
+        out = np.interp(station, self.s, channel)
         return float(out) if np.isscalar(station) else out
 
-    def kappa_at(self, station):
-        out = np.interp(station, self.s, self.kappa)
-        return float(out) if np.isscalar(station) else out
+    def heading_unwrapped_at(self, station) -> np.ndarray | float:
+        return self._lookup(station, self.theta)
+
+    def kappa_at(self, station) -> np.ndarray | float:
+        return self._lookup(station, self.kappa)
 
     def point_at(self, station) -> tuple:
-        return (
-            np.interp(station, self.s, self.x),
-            np.interp(station, self.s, self.y),
-        )
+        return self._lookup(station, self.x), self._lookup(station, self.y)
 
     def poses_at(self, stations) -> tuple[Pose, ...]:
         """Midline poses at a sequence of arc lengths, each within [0, length]."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -173,6 +173,10 @@ class DriveLog:
             float(self.c3[i]),
             preview_length=self.preview_length,
         )
+
+    def corridor(self, i: int) -> Corridor:
+        """Corridor of row i's lane polynomial and lane width, in that row's frame."""
+        return corridor_from_polynomial(self.polynomial(i), lane_width=float(self.lane_width[i]))
 
     def write_csv(self, path) -> None:
         write_csv(path, LOG_HEADER, [self.cycle, *(getattr(self, name) for name in self._FLOAT_COLUMNS)])
@@ -444,8 +448,7 @@ def offset_pose_on(road: Corridor, station: float, delta: float, delta_rate: flo
     delta_rate is d(delta)/d(station); the heading follows the offset curve
     tangent rather than the midline tangent.
     """
-    xm, ym = road.point_at(station)
-    midline = float(xm), float(ym), road.heading_unwrapped_at(station), road.kappa_at(station)
+    midline = *road.point_at(station), road.heading_unwrapped_at(station), road.kappa_at(station)
     return Pose(*_offset_pose(*midline, delta, delta_rate)[:3])
 
 
@@ -675,7 +678,10 @@ class ReplanRecord:
     path: PlannedPath | None
     curvature_input: CurvatureInput | None
     offsets: OffsetVector | None
-    gap: bool
+
+    @property
+    def gap(self) -> bool:
+        return self.path is None
 
 
 @dataclass(eq=False)
@@ -704,29 +710,16 @@ class SimTrace:
         write_csv(path, TRACE_HEADER, [self.cycle, self.x, self.y, self.theta, self.offset, self.path_id])
 
     def replans_to_json(self, path) -> None:
-        def pose_dict(p: Pose) -> dict:
-            return {"x": p.x, "y": p.y, "theta": p.theta}
-
         records = []
         for rec in self.replans:
             entry: dict = {"cycle": rec.cycle, "gap": rec.gap}
-            if rec.curvature_input is not None:
-                entry["curvature_input"] = [float(v) for v in rec.curvature_input.as_array()]
-            if rec.offsets is not None:
-                entry["offsets"] = [float(v) for v in rec.offsets.as_array()]
-            if rec.path is not None:
+            if not rec.gap:
+                entry["curvature_input"] = list(asdict(rec.curvature_input).values())
+                entry["offsets"] = list(asdict(rec.offsets).values())
                 entry["path"] = {
-                    "frame_origin": pose_dict(rec.path.frame.origin),
-                    "node_poses": [pose_dict(p) for p in rec.path.node_poses],
-                    "segments": [
-                        {
-                            "start": pose_dict(seg.start),
-                            "kappa0": seg.kappa0,
-                            "kappa_rate": seg.kappa_rate,
-                            "length": seg.length,
-                        }
-                        for seg in rec.path.path.segments
-                    ],
+                    "frame_origin": asdict(rec.path.frame.origin),
+                    "node_poses": [asdict(p) for p in rec.path.node_poses],
+                    "segments": [asdict(seg) for seg in rec.path.path.segments],
                 }
             records.append(entry)
         write_json(path, records)
@@ -742,12 +735,13 @@ def run_replay(
     """Replay a drive log with cyclic replanning.
 
     Validation mode produces node offsets with the gain matrix; estimation
-    mode reads them back from the recorded drive. Between replans the
-    vehicle follows the active path by arc length at the logged speed. A
-    replan without sufficient preview, whose lane polynomial gives no valid
-    corridor or whose fit fails keeps the previous path active and is
-    recorded as a gap. Each cycle's offset is measured against the corridor
-    of the plan active in that cycle.
+    mode reads them back from the recorded drive. Replay runs one retrigger
+    block at a time: it replans at the block's first cycle, then the vehicle
+    follows the active path by arc length at the logged speed through the
+    block. A replan without sufficient preview, whose lane polynomial gives
+    no valid corridor or whose fit fails keeps the previous path active and
+    is recorded as a gap. Each block's offsets are measured against the
+    corridor of the plan active in it, in one projection.
     """
     if mode not in ("validation", "estimation"):
         raise ValueError(f"mode must be 'validation' or 'estimation', got {mode!r}")
@@ -761,10 +755,8 @@ def run_replay(
     active_corr: Corridor | None = None
     path_s = 0.0
     path_id = -1
-    active_from = 0  # first cycle following the active plan
     replans: list[ReplanRecord] = []
 
-    cycles = np.arange(n, dtype=np.int64)
     xs = np.empty(n)
     ys = np.empty(n)
     thetas = np.empty(n)
@@ -772,49 +764,42 @@ def run_replay(
     kappas = np.full(n, np.nan)
     path_ids = np.full(n, -1, dtype=np.int64)
 
-    for i in range(n):
-        if i % retrigger == 0:
-            try:
-                poly = log.polynomial(i)
-                corr_full = corridor_from_polynomial(
-                    poly, lane_width=float(log.lane_width[i])
-                ).transformed(log.pose(i))
-                # Node distances are measured from the planning frame, i.e.
-                # from the replayed vehicle, which may run slightly ahead of
-                # or behind the recording vehicle the perception is tied to.
-                # A preview that ends before the far node raises in
-                # average_curvatures (or, if empty, in window).
-                s_ego, _ = corr_full.project(ego.x, ego.y)
-                corr = corr_full.window(s_ego, corr_full.length - s_ego)
-                kbar = average_curvatures(corr, params.distances)
-                if mode == "estimation":
-                    node_offsets = extract_measured_offsets(log, i, params)
-                else:
-                    node_offsets = compute_offsets(gains, kbar)
-                planned = plan_path_from_offsets(corr, node_offsets, params, PlanningFrame(origin=ego))
-            except (InsufficientPreviewError, FitError, CorridorError):
-                replans.append(ReplanRecord(cycle=i, path=None, curvature_input=None, offsets=None, gap=True))
+    for lo in range(0, n, retrigger):
+        try:
+            corr_full = log.corridor(lo).transformed(log.pose(lo))
+            # Node distances are measured from the planning frame, i.e.
+            # from the replayed vehicle, which may run slightly ahead of
+            # or behind the recording vehicle the perception is tied to.
+            # A preview that ends before the far node raises in
+            # average_curvatures (or, if empty, in window).
+            s_ego, _ = corr_full.project(ego.x, ego.y)
+            corr = corr_full.window(s_ego, corr_full.length - s_ego)
+            kbar = average_curvatures(corr, params.distances)
+            if mode == "estimation":
+                node_offsets = extract_measured_offsets(log, lo, params)
             else:
-                if active is not None:
-                    done = slice(active_from, i)
-                    _, offsets[done] = active_corr.project_many(xs[done], ys[done])
-                path_id += 1
-                active, active_corr, path_s, active_from = planned, corr, 0.0, i
-                replans.append(
-                    ReplanRecord(cycle=i, path=planned, curvature_input=kbar, offsets=node_offsets, gap=False)
-                )
-        xs[i], ys[i], thetas[i] = ego.x, ego.y, ego.theta
-        path_ids[i] = path_id
+                node_offsets = compute_offsets(gains, kbar)
+            planned = plan_path_from_offsets(corr, node_offsets, params, PlanningFrame(origin=ego))
+        except (InsufficientPreviewError, FitError, CorridorError):
+            replans.append(ReplanRecord(cycle=lo, path=None, curvature_input=None, offsets=None))
+        else:
+            path_id += 1
+            active, active_corr, path_s = planned, corr, 0.0
+            replans.append(ReplanRecord(cycle=lo, path=planned, curvature_input=kbar, offsets=node_offsets))
+        block = slice(lo, min(lo + retrigger, n))
+        path_ids[block] = path_id
+        for i in range(lo, block.stop):
+            xs[i], ys[i], thetas[i] = ego.x, ego.y, ego.theta
+            if active is not None:
+                kappas[i] = active.path.curvature_at(path_s)
+                path_s = min(path_s + float(log.speed[i]) * log.sample_time, active.path.length)
+                ego = from_planning_frame(active.path.pose_at(path_s), active.frame)
         if active is not None:
-            kappas[i] = active.path.curvature_at(min(path_s, active.path.length))
-            path_s = min(path_s + float(log.speed[i]) * log.sample_time, active.path.length)
-            ego = from_planning_frame(active.path.pose_at(path_s), active.frame)
+            _, offsets[block] = active_corr.project_many(xs[block], ys[block])
     if path_id < 0:
         raise ReplayError("replay produced no valid plan at any retrigger")
-    rest = slice(active_from, n)
-    _, offsets[rest] = active_corr.project_many(xs[rest], ys[rest])
     return SimTrace(
-        cycle=cycles,
+        cycle=np.arange(n, dtype=np.int64),
         x=xs,
         y=ys,
         theta=thetas,

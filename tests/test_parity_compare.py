@@ -1,0 +1,61 @@
+"""scripts/parity.py compare: the determinism check passes on equal outputs
+and fails on each kind of difference it is meant to catch."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
+
+
+@pytest.fixture(scope="module")
+def parity():
+    spec = importlib.util.spec_from_file_location("parity", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write(out: Path, x: float = 12.5, path_id: int = 0, extra_key: bool = False) -> Path:
+    out.mkdir()
+    (out / "trace.csv").write_text(
+        f"cycle,x,y,theta,offset,path_id\n0,{x!r},-3.25,0.125,0.0625,{path_id}\n1,13.75,-3.0,0.25,0.03125,0\n",
+        encoding="utf-8",
+    )
+    replans = [{"cycle": 0, "gap": False, "offsets": [0.1, -0.2, 0.3]}, {"cycle": 30, "gap": True}]
+    if extra_key:
+        replans[1]["reason"] = "preview"
+    (out / "replans.json").write_text(json.dumps(replans, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{}, {"x": 12.5 + 5e-10}],
+    ids=["identical", "x within 1e-9"],
+)
+def test_compare_passes(parity, tmp_path, change, capsys):
+    assert parity.compare(_write(tmp_path / "a"), _write(tmp_path / "b", **change)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"x": 12.5 + 2e-9}, {"path_id": 1}, {"extra_key": True}],
+    ids=["x beyond 1e-9", "path_id", "extra JSON key"],
+)
+def test_compare_fails(parity, tmp_path, change, capsys):
+    assert parity.compare(_write(tmp_path / "a"), _write(tmp_path / "b", **change)) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_compare_fails_on_a_missing_file(parity, tmp_path, capsys):
+    base = _write(tmp_path / "a")
+    new = tmp_path / "b"
+    shutil.copytree(base, new)
+    (new / "replans.json").unlink()
+    assert parity.compare(base, new) == 1
+    assert "file sets differ" in capsys.readouterr().out
