@@ -20,7 +20,8 @@ commit) writes that version's outputs; nothing is fetched.
 
 `compare` requires equal file sets, headers, JSON structure, integers
 (cycles, path ids, counts), booleans (replan gaps) and strings, and exits
-with 1 otherwise. Floats must agree within ABSOLUTE for lengths, angles
+with 1 otherwise. It names every value found in only one of two files
+(an added or missing key) and still compares the values they share. Floats must agree within ABSOLUTE for lengths, angles
 and slopes, and within RELATIVE of the largest magnitude of their column
 (or JSON key) for every other quantity.
 """
@@ -117,15 +118,16 @@ def _leaves(path: Path) -> list:
 
 def compare_file(base: Path, new: Path) -> tuple[list[str], dict]:
     """Exact-match errors, and per float name (deviation, tolerance, kind)."""
-    a, b = _leaves(base), _leaves(new)
-    if len(a) != len(b):
-        return [f"{len(a)} values against {len(b)}"], {}
+    a, b = ({(where, name): value for where, name, value in _leaves(path)} for path in (base, new))
+    only = [f"{where} {name}: only in {side}" for side, one, other in (("base", a, b), ("new", b, a))
+            for where, name in one if (where, name) not in other]
     errors = []
     floats: dict = {}
-    for (where, name, x), (where_b, name_b, y) in zip(a, b):
-        if (where, name) != (where_b, name_b):
-            errors.append(f"{where} {name} against {where_b} {name_b}")
-        elif type(x) is float and type(y) is float:
+    for (where, name), x in a.items():
+        if (where, name) not in b:
+            continue
+        y = b[where, name]
+        if type(x) is float and type(y) is float:
             floats.setdefault(name, []).append((x, y))
         elif type(x) is not type(y) or x != y:
             errors.append(f"{where} {name}: {x!r} against {y!r}")
@@ -137,7 +139,7 @@ def compare_file(base: Path, new: Path) -> tuple[list[str], dict]:
         else:
             scale = max(abs(x) for x, _ in pairs)
             deviations[name] = (gap / scale if scale else gap, RELATIVE, "rel")
-    return errors[:5], deviations
+    return only + errors[:5], deviations
 
 
 def compare(base: Path, new: Path) -> int:

@@ -383,6 +383,8 @@ def node_count_tradeoff(
         raise ValueError("counts must be positive")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if retrigger < 1:
+        raise ValueError("retrigger must be at least 1")
     corridors, skipped = [], 0
     for row in range(0, len(log), retrigger):
         try:

@@ -74,17 +74,13 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+_SCENARIOS = {"s-curve": s_curve_scenario, "winding": winding_scenario}
+
+
 def _scenario_from(args, config: dict) -> ScenarioSpec:
     if "scenario" in config:
         return ScenarioSpec.from_dict(config["scenario"])
-    name = getattr(args, "scenario", None) or "s-curve"
-    builtin = {
-        "s-curve": s_curve_scenario,
-        "winding": winding_scenario,
-    }
-    if name not in builtin:
-        raise ValueError(f"unknown scenario {name!r} (use a --config file or one of {sorted(builtin)})")
-    return builtin[name]()
+    return _SCENARIOS[args.scenario or "s-curve"]()
 
 
 def _node_params(args, config: dict) -> NodePointParams:
@@ -323,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic driver cohort for a scenario")
     common(p)
-    p.add_argument("--scenario", choices=["s-curve", "winding"], help="built-in scenario")
+    p.add_argument("--scenario", choices=sorted(_SCENARIOS), help="built-in scenario")
     p.add_argument("--drivers", type=int, default=15, help="number of drivers")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--sigma", type=float, default=0.05, help="offset noise sigma in metres")
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--log", required=True, help="drive log CSV")
     p.add_argument("--gains", required=True, help="calibration JSON or row-major gain list")
-    p.add_argument("--scenario", choices=["s-curve", "winding"], help="built-in scenario")
+    p.add_argument("--scenario", choices=sorted(_SCENARIOS), help="built-in scenario")
     p.add_argument("--segment-index", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_case_study)

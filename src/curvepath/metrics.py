@@ -96,32 +96,19 @@ def detect_curve_segments(
     """Maximal constant-sign runs with |kappa| >= threshold over >= min_length."""
     if not kappa_threshold > 0 or not min_length > 0:
         raise ValueError("thresholds must be positive")
-    above = np.abs(corridor.kappa) >= kappa_threshold
-    sign = np.sign(corridor.kappa)
-    segments = []
-    i = 0
-    n = len(corridor)
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1] and sign[j + 1] == sign[i]:
-            j += 1
-        start_s = float(corridor.s[i])
-        end_s = float(corridor.s[j])
-        if end_s - start_s >= min_length:
-            peak = float(np.max(np.abs(corridor.kappa[i : j + 1])))
-            segments.append(
-                CurveSegment(
-                    start_s=start_s,
-                    end_s=end_s,
-                    peak_kappa=peak,
-                    direction="left" if sign[i] > 0 else "right",
-                )
-            )
-        i = j + 1
-    return segments
+    kappa = corridor.kappa
+    label = np.where(np.abs(kappa) >= kappa_threshold, np.sign(kappa), 0.0)
+    cuts = [0, *(np.flatnonzero(np.diff(label)) + 1), len(label)]
+    return [
+        CurveSegment(
+            start_s=float(corridor.s[i]),
+            end_s=float(corridor.s[j - 1]),
+            peak_kappa=float(np.max(np.abs(kappa[i:j]))),
+            direction="left" if label[i] > 0 else "right",
+        )
+        for i, j in zip(cuts[:-1], cuts[1:])
+        if label[i] and corridor.s[j - 1] - corridor.s[i] >= min_length
+    ]
 
 
 def project_onto(trace: SimTrace, corridor: Corridor) -> SimTrace:

@@ -171,7 +171,8 @@ def plan_path_from_offsets(
             corridor.lane_width,
         )
 
-    node_poses = (offset_point(pose, delta) for pose, delta in zip(nominal, offsets.as_array()))
+    deltas = (offsets.delta_near, offsets.delta_mid, offsets.delta_far)
+    node_poses = (offset_point(pose, delta) for pose, delta in zip(nominal, deltas))
     poses_local = tuple(to_planning_frame(p, frame) for p in (frame.origin, *node_poses))
     return PlannedPath(path=fit_composite(poses_local), node_poses=poses_local, frame=frame)
 

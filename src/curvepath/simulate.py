@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .clothoid import FitError
+from .clothoid import ClothoidSegment, FitError
 from .planner import (
     DEFAULT_RETRIGGER_CYCLES,
     CurvatureInput,
@@ -205,7 +205,13 @@ def load_drive_log(path) -> DriveLog:
 # Scenario roads
 
 
-_SEGMENT_KINDS = ("straight", "arc", "clothoid-transition")
+# kind -> its JSON keys after "kind" and "length", each with the curvature
+# fields it sets; an arc's "kappa" sets both ends
+_SEGMENT_KEYS = {
+    "straight": {},
+    "arc": {"kappa": ("kappa_start", "kappa_end")},
+    "clothoid-transition": {"kappa_start": ("kappa_start",), "kappa_end": ("kappa_end",)},
+}
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,7 @@ class RoadSegmentSpec:
     kappa_end: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _SEGMENT_KINDS:
+        if self.kind not in _SEGMENT_KEYS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
         if not self.length > 0:
             raise ValueError("segment length must be positive")
@@ -241,26 +247,13 @@ class RoadSegmentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoadSegmentSpec":
-        kind = d["kind"]
-        if kind == "straight":
-            return cls.straight(float(d["length"]))
-        if kind == "arc":
-            return cls.arc(float(d["length"]), float(d["kappa"]))
-        if kind == "clothoid-transition":
-            return cls.transition(float(d["length"]), float(d["kappa_start"]), float(d["kappa_end"]))
-        raise ValueError(f"unknown segment kind {kind!r}")
+        keys = _SEGMENT_KEYS.get(d["kind"], {})
+        kappas = {field: float(d[key]) for key, fields in keys.items() for field in fields}
+        return cls(d["kind"], float(d["length"]), **kappas)
 
     def to_dict(self) -> dict:
-        if self.kind == "straight":
-            return {"kind": self.kind, "length": self.length}
-        if self.kind == "arc":
-            return {"kind": self.kind, "length": self.length, "kappa": self.kappa_start}
-        return {
-            "kind": self.kind,
-            "length": self.length,
-            "kappa_start": self.kappa_start,
-            "kappa_end": self.kappa_end,
-        }
+        kappas = {key: getattr(self, fields[0]) for key, fields in _SEGMENT_KEYS[self.kind].items()}
+        return {"kind": self.kind, "length": self.length, **kappas}
 
 
 @dataclass(frozen=True)
@@ -310,15 +303,9 @@ def build_scenario_road(spec: ScenarioSpec) -> Corridor:
     Positions come from the exact Euler-curve integral of each segment, so
     heading and curvature channels are consistent to quadrature accuracy.
     """
-    from .clothoid import ClothoidSegment
-
     x, y, theta_u = 0.0, 0.0, 0.0
     s_base = 0.0
-    s_out = [0.0]
-    x_out = [0.0]
-    y_out = [0.0]
-    th_out = [0.0]
-    k_out = [spec.segments[0].kappa_start]
+    pieces = [((0.0,), (0.0,), (0.0,), (0.0,), (spec.segments[0].kappa_start,))]
     for seg in spec.segments:
         rate = (seg.kappa_end - seg.kappa_start) / seg.length
         curve = ClothoidSegment(
@@ -328,26 +315,14 @@ def build_scenario_road(spec: ScenarioSpec) -> Corridor:
             length=seg.length,
         )
         n = max(1, int(math.ceil(seg.length / DEFAULT_CORRIDOR_STEP_M)))
-        local = np.linspace(0.0, seg.length, n + 1)
+        local = np.linspace(0.0, seg.length, n + 1)[1:]
         xs, ys, _ = curve.sample(local)
         ths = theta_u + seg.kappa_start * local + 0.5 * rate * local**2
-        ks = seg.kappa_start + rate * local
-        s_out.extend((s_base + local[1:]).tolist())
-        x_out.extend(xs[1:].tolist())
-        y_out.extend(ys[1:].tolist())
-        th_out.extend(ths[1:].tolist())
-        k_out.extend(ks[1:].tolist())
+        pieces.append((s_base + local, xs, ys, ths, curve.curvature_at(local)))
         s_base += seg.length
-        x, y = float(xs[-1]), float(ys[-1])
-        theta_u = float(ths[-1])
-    return Corridor(
-        s=np.asarray(s_out),
-        x=np.asarray(x_out),
-        y=np.asarray(y_out),
-        theta=np.asarray(th_out),
-        kappa=np.asarray(k_out),
-        lane_width=spec.lane_width,
-    )
+        x, y, theta_u = float(xs[-1]), float(ys[-1]), float(ths[-1])
+    s, x, y, theta, kappa = (np.concatenate(channel) for channel in zip(*pieces))
+    return Corridor(s=s, x=x, y=y, theta=theta, kappa=kappa, lane_width=spec.lane_width)
 
 
 def s_curve_scenario(kappa: float = 0.0045) -> ScenarioSpec:

@@ -61,3 +61,9 @@ def test_sweep_without_any_valid_corridor_raises(clean_driver_log):
     replans = len(range(0, len(clean_driver_log), calibration.DEFAULT_RETRIGGER_CYCLES))
     with pytest.raises(EmptyDatasetError, match=f"all {replans} replanning cycles"):
         node_count_tradeoff(corrupted, counts=(1, 2), repeats=1)
+
+
+@pytest.mark.parametrize("retrigger", [0, -1])
+def test_sweep_needs_a_positive_retrigger(clean_driver_log, retrigger):
+    with pytest.raises(ValueError, match="retrigger must be at least 1"):
+        node_count_tradeoff(clean_driver_log, counts=(1, 2), repeats=1, retrigger=retrigger)

@@ -59,3 +59,15 @@ def test_compare_fails_on_a_missing_file(parity, tmp_path, capsys):
     (new / "replans.json").unlink()
     assert parity.compare(base, new) == 1
     assert "file sets differ" in capsys.readouterr().out
+
+
+def test_compare_names_added_keys_and_checks_shared_values(parity, tmp_path, capsys):
+    base = _write(tmp_path / "a")
+    new = _write(tmp_path / "b", extra_key=True)
+    replans = json.loads((new / "replans.json").read_text())
+    replans[0]["offsets"][1] += 2e-9
+    (new / "replans.json").write_text(json.dumps(replans, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert parity.compare(base, new) == 1
+    out = capsys.readouterr().out
+    assert "/1/reason" in out
+    assert "offsets: " in out and "over 1e-09" in out
