@@ -12,6 +12,7 @@ import argparse
 import datetime
 import json
 import sys
+from collections import ChainMap
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .metrics import (
     write_performance_report,
     write_safety_report,
 )
-from .planner import DEFAULT_RETRIGGER_CYCLES, GainMatrix, NodePointParams
+from .planner import DEFAULT_NODE_DISTANCES, DEFAULT_RETRIGGER_CYCLES, GainMatrix, NodePointParams
 from .simulate import (
     DriveLog,
     ScenarioSpec,
@@ -53,6 +54,8 @@ from .simulate import (
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+# the exceptions that end a command with DATA_ERROR instead of a traceback
+DATA_ERRORS = (ValueError, RuntimeError, OSError, KeyError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,20 +86,35 @@ def _scenario_from(args, config: dict) -> ScenarioSpec:
     return _SCENARIOS[args.scenario or "s-curve"]()
 
 
-def _node_params(args, config: dict) -> NodePointParams:
-    distances = args.node_distances or config.get("node_distances")
-    if distances is None:
-        return NodePointParams()
-    return NodePointParams(*(float(d) for d in distances))
+def _node_distances(value) -> NodePointParams:
+    distances = [float(d) for d in value]
+    if len(distances) != 3:
+        raise ValueError(f"need 3 numbers, got {len(distances)}")
+    return NodePointParams(*distances)
 
 
-def _setting(flag, config: dict, key: str, default):
-    """A flag that was given beats the config key, which beats the default."""
-    return flag if flag is not None else config.get(key, default)
+# shared setting -> (default, type)
+_SETTINGS = {
+    "node_distances": (DEFAULT_NODE_DISTANCES, _node_distances),
+    "retrigger": (DEFAULT_RETRIGGER_CYCLES, int),
+    "kappa_threshold": (DEFAULT_KAPPA_THRESHOLD, float),
+    "min_curve_length": (DEFAULT_MIN_CURVE_LENGTH_M, float),
+    "vehicle_width": (DEFAULT_VEHICLE_WIDTH_M, float),
+}
 
 
-def _retrigger(args, config: dict) -> int:
-    return int(_setting(args.retrigger, config, "retrigger", DEFAULT_RETRIGGER_CYCLES))
+def _settings(args, *layers: dict) -> argparse.Namespace:
+    """Every shared setting, typed: a flag that was given beats the layers
+    (the config, then evaluate's cohort manifest), which beat the default."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    found = ChainMap(given, *layers)
+    settings = argparse.Namespace()
+    for key, (default, typed) in _SETTINGS.items():
+        try:
+            setattr(settings, key, typed(found.get(key, default)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return settings
 
 
 def _load_gains(path: str) -> GainMatrix:
@@ -117,8 +135,7 @@ def _random_gains(rng: np.random.Generator) -> GainMatrix:
 def _cmd_synth(args) -> int:
     config = _load_config(args.config)
     scenario = _scenario_from(args, config)
-    params = _node_params(args, config)
-    retrigger = _retrigger(args, config)
+    settings = _settings(args, config)
     road = build_scenario_road(scenario)
     rng = np.random.default_rng(args.seed)
     out_dir = Path(args.out_dir)
@@ -130,7 +147,7 @@ def _cmd_synth(args) -> int:
         seed = int(rng.integers(0, 2**31 - 1))
         spec = SyntheticDriverSpec(gains_true=gains, offset_noise_sigma=args.sigma, seed=seed)
         log = generate_synthetic_driver_log(
-            road, spec, params=params, retrigger=retrigger, speed=scenario.speed
+            road, spec, params=settings.node_distances, retrigger=settings.retrigger, speed=scenario.speed
         )
         log_name = f"driver_{i:02d}.csv"
         log.write_csv(out_dir / log_name)
@@ -145,8 +162,8 @@ def _cmd_synth(args) -> int:
         )
     manifest = {
         "scenario": scenario.to_dict(),
-        "node_distances": list(params.distances),
-        "retrigger": retrigger,
+        "node_distances": list(settings.node_distances.distances),
+        "retrigger": settings.retrigger,
         "seed": args.seed,
         "drivers": drivers,
     }
@@ -156,15 +173,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
-    params = _node_params(args, config)
-    retrigger = _retrigger(args, config)
+    settings = _settings(args, _load_config(args.config))
     log = load_drive_log(args.log)
 
-    result_distances = params
+    result_distances = settings.node_distances
     extras: dict = {}
     if args.optimize_distances:
-        opt = optimize_node_distances(log, params)
+        opt = optimize_node_distances(log, result_distances)
         result_distances = opt.params
         extras["distance_optimization"] = {
             "flat_cost": opt.flat_cost,
@@ -172,7 +187,7 @@ def _cmd_calibrate(args) -> int:
             "skipped_windows": opt.skipped_windows,
             "window_optima": [list(o) for o in opt.window_optima],
         }
-    dataset = assemble_dataset(log, result_distances, retrigger)
+    dataset = assemble_dataset(log, result_distances, settings.retrigger)
     result = fit_gain_matrix(dataset)
 
     payload = result.to_dict()
@@ -180,13 +195,13 @@ def _cmd_calibrate(args) -> int:
     payload["dataset"] = {"cycles": dataset.n_cycles, "skipped": dataset.skipped}
     payload["provenance"] = {
         "log_file": str(args.log),
-        "retrigger": retrigger,
+        "retrigger": settings.retrigger,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     # the sweep runs before the JSON is written, so a failing sweep leaves
     # no calibration JSON behind
     if args.sweep_nodes:
-        sweep = node_count_tradeoff(log, retrigger=retrigger)
+        sweep = node_count_tradeoff(log, retrigger=settings.retrigger)
         sweep_path = args.sweep_out or (str(args.out) + ".sweep.csv")
         write_csv(sweep_path, SWEEP_HEADER, list(zip(*sweep)))
         print(f"wrote node-count sweep to {sweep_path}")
@@ -201,14 +216,12 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    params = _node_params(args, config)
-    retrigger = _retrigger(args, config)
+    settings = _settings(args, _load_config(args.config))
     log = load_drive_log(args.log)
     gains = _load_gains(args.gains) if args.gains else GainMatrix.zeros()
     if args.mode == "validation" and not args.gains:
         raise ValueError("validation mode requires --gains")
-    trace = run_replay(log, gains, params, retrigger, mode=args.mode)
+    trace = run_replay(log, gains, settings.node_distances, settings.retrigger, mode=args.mode)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     trace_path = str(prefix) + "_trace.csv"
@@ -220,28 +233,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _curve_segments(road, config: dict, kappa_threshold=None, min_length=None):
-    """The road's curve segments; given thresholds rank above the config keys."""
-    kappa_threshold = _setting(kappa_threshold, config, "kappa_threshold", DEFAULT_KAPPA_THRESHOLD)
-    min_length = _setting(min_length, config, "min_curve_length", DEFAULT_MIN_CURVE_LENGTH_M)
-    segments = detect_curve_segments(road, kappa_threshold=float(kappa_threshold), min_length=float(min_length))
+def _curve_segments(road, settings):
+    segments = detect_curve_segments(road, settings.kappa_threshold, settings.min_curve_length)
     if not segments:
         raise ValueError("scenario road contains no curve segments")
     return segments
 
 
-def _replay_both(log: DriveLog, road, gains, params, retrigger):
+def _replay_both(log: DriveLog, road, gains, settings):
     """Planned (validation) and reference (estimation) replays projected onto the road."""
     return tuple(
-        project_onto(run_replay(log, gains, params, retrigger, mode=mode), road)
+        project_onto(run_replay(log, gains, settings.node_distances, settings.retrigger, mode=mode), road)
         for mode in ("validation", "estimation")
     )
 
 
-def _evaluate_driver(log: DriveLog, road, params, retrigger, vehicle, segments):
-    dataset = assemble_dataset(log, params, retrigger)
+def _evaluate_driver(log: DriveLog, road, settings, vehicle, segments):
+    dataset = assemble_dataset(log, settings.node_distances, settings.retrigger)
     gains = fit_gain_matrix(dataset).gains
-    planned, reference = _replay_both(log, road, gains, params, retrigger)
+    planned, reference = _replay_both(log, road, gains, settings)
     safety = safety_metrics(planned, road, vehicle, segments)
     performance = performance_metrics(planned, reference, segments)
     return safety, performance
@@ -251,46 +261,50 @@ def _cmd_evaluate(args) -> int:
     cohort_path = Path(args.cohort)
     with open(cohort_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    config = _load_config(args.config)
+    scenario = ScenarioSpec.from_dict(manifest["scenario"])
     # the cohort's own node distances and retrigger rank below the config
     recorded = {k: manifest[k] for k in ("node_distances", "retrigger") if k in manifest}
-    config = {**recorded, **_load_config(args.config)}
-    scenario = ScenarioSpec.from_dict(manifest["scenario"])
-    params = _node_params(args, config)
-    retrigger = _retrigger(args, config)
+    settings = _settings(args, config, recorded)
     road = build_scenario_road(scenario)
-    width = _setting(args.vehicle_width, config, "vehicle_width", DEFAULT_VEHICLE_WIDTH_M)
-    vehicle = VehicleSpec(width=float(width))
-    segments = _curve_segments(road, config, args.kappa_threshold, args.min_curve_length)
+    vehicle = VehicleSpec(width=settings.vehicle_width)
+    segments = _curve_segments(road, settings)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     safety_rows = []
     performance_rows = []
     for entry in manifest["drivers"]:
-        log = load_drive_log(cohort_path.parent / entry["log"])
-        safety, performance = _evaluate_driver(log, road, params, retrigger, vehicle, segments)
+        # a driver that fails is left out of both reports, not the whole cohort
+        try:
+            log = load_drive_log(cohort_path.parent / entry["log"])
+            safety, performance = _evaluate_driver(log, road, settings, vehicle, segments)
+        except DATA_ERRORS as exc:
+            sys.stderr.write(f"curvepath evaluate: {entry['id']}: {exc}\n")
+            continue
         safety_rows.append((entry["id"], safety))
         performance_rows.append((entry["id"], performance))
     write_safety_report(safety_rows, out_dir / "safety.csv", out_dir / "safety.json")
     write_performance_report(
         performance_rows, out_dir / "performance.csv", out_dir / "performance.json"
     )
-    print(f"evaluated {len(safety_rows)} drivers over {len(segments)} curve segments -> {out_dir}")
-    return 0
+    left_out = len(manifest["drivers"]) - len(safety_rows)
+    note = f", {left_out} left out" if left_out else ""
+    print(f"evaluated {len(safety_rows)} drivers over {len(segments)} curve segments -> {out_dir}{note}")
+    return DATA_ERROR if left_out else 0
 
 
 def _cmd_case_study(args) -> int:
     config = _load_config(args.config)
     scenario = _scenario_from(args, config)
-    params = _node_params(args, config)
-    retrigger = _retrigger(args, config)
+    settings = _settings(args, config)
     road = build_scenario_road(scenario)
     log = load_drive_log(args.log)
     gains = _load_gains(args.gains)
-    segments = _curve_segments(road, config)
+    segments = _curve_segments(road, settings)
     if not 0 <= args.segment_index < len(segments):
         raise ValueError(f"segment index {args.segment_index} out of range 0..{len(segments) - 1}")
-    planned, reference = _replay_both(log, road, gains, params, retrigger)
+    planned, reference = _replay_both(log, road, gains, settings)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     offsets_path, curvature_path = emit_case_study(
@@ -374,11 +388,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, KeyError) as exc:
+    except DATA_ERRORS as exc:
         sys.stderr.write(f"curvepath {args.command}: error: {exc}\n")
-        return DATA_ERROR
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"curvepath {args.command}: bad JSON: {exc}\n")
         return DATA_ERROR
 
 

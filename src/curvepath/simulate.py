@@ -226,6 +226,10 @@ class RoadSegmentSpec:
     def __post_init__(self):
         if self.kind not in _SEGMENT_KEYS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
+        # name the JSON key that holds a non-finite value
+        for key, value in self.to_dict().items():
+            if key != "kind" and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if not self.length > 0:
             raise ValueError("segment length must be positive")
         if self.kind == "straight" and (self.kappa_start != 0.0 or self.kappa_end != 0.0):
@@ -247,9 +251,13 @@ class RoadSegmentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoadSegmentSpec":
-        keys = _SEGMENT_KEYS.get(d["kind"], {})
-        kappas = {field: float(d[key]) for key, fields in keys.items() for field in fields}
-        return cls(d["kind"], float(d["length"]), **kappas)
+        try:
+            keys = _SEGMENT_KEYS.get(d["kind"], {})
+            kappas = {field: float(d[key]) for key, fields in keys.items() for field in fields}
+            length = float(d["length"])
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+        return cls(d["kind"], length, **kappas)
 
     def to_dict(self) -> dict:
         kappas = {key: getattr(self, fields[0]) for key, fields in _SEGMENT_KEYS[self.kind].items()}
@@ -283,8 +291,14 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        segments = []
+        for i, s in enumerate(d["segments"]):
+            try:
+                segments.append(RoadSegmentSpec.from_dict(s))
+            except ValueError as exc:
+                raise ValueError(f"segment {i}: {exc}") from None
         return cls(
-            segments=tuple(RoadSegmentSpec.from_dict(s) for s in d["segments"]),
+            segments=tuple(segments),
             lane_width=float(d.get("lane_width", DEFAULT_LANE_WIDTH_M)),
             speed=float(d.get("speed", DEFAULT_SPEED_MPS)),
         )
