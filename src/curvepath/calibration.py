@@ -216,7 +216,7 @@ def _sample_intervals(length: float) -> int:
     return max(2, int(math.ceil(round(length, 9))))
 
 
-def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horizon) -> float:
+def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose) -> float:
     """Mean distance between the recorded points and the fitted path.
 
     The path is fitted through node points placed on the recorded drive
@@ -227,6 +227,7 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horiz
     own tiny span perfectly and the cost loses all pressure on the far node.
     """
     d_near, d_mid, d_far = distances
+    horizon = stations[-1]  # the kept stations rise, so this is the farthest
     if not (0.0 < d_near < d_mid < d_far <= horizon):
         return math.inf
     measured = np.interp(distances, stations, offsets).tolist()
@@ -236,7 +237,7 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, horiz
     except FitError:
         return math.inf
     last = path.segments[-1]
-    tail = max(horizon - d_far, 0.0) + 1.0
+    tail = horizon - d_far + 1.0
     extended = CompositePath(path.segments[:-1] + (replace(last, length=last.length + tail),))
     n = _sample_intervals(extended.length)
     px, py, _ = extended.sample(np.linspace(0.0, extended.length, n + 1))
@@ -293,10 +294,10 @@ def optimize_node_distances(
             skipped += 1
             continue
         anchor_pose = log.pose(anchor)
-        horizon = min(MAX_PREVIEW_M, corridor.length, stations[-1])
+        horizon = stations[-1]
 
         def scored(cand):
-            raw = _window_cost(cand, corridor, pts, stations, offsets, anchor_pose, horizon)
+            raw = _window_cost(cand, corridor, pts, stations, offsets, anchor_pose)
             return raw, raw + _PREVIEW_TIEBREAK * (horizon - cand[2])
 
         best = (math.inf, math.inf, None)
@@ -309,7 +310,7 @@ def optimize_node_distances(
                         costs.append(raw)
                         if adjusted < best[1]:
                             best = (raw, adjusted, (dn, dm, df))
-        if not costs or best[2] is None:
+        if not costs:
             skipped += 1
             continue
         spread = max(costs) - min(costs)

@@ -133,6 +133,8 @@ def _random_gains(rng: np.random.Generator) -> GainMatrix:
 
 
 def _cmd_synth(args) -> int:
+    if args.drivers < 1:
+        raise ValueError(f"drivers must be at least 1, got {args.drivers}")
     config = _load_config(args.config)
     scenario = _scenario_from(args, config)
     settings = _settings(args, config)
@@ -261,8 +263,13 @@ def _cmd_evaluate(args) -> int:
     cohort_path = Path(args.cohort)
     with open(cohort_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{cohort_path}: cohort manifest must be a JSON object")
+    drivers = manifest.get("drivers")
+    if not isinstance(drivers, list) or not all(isinstance(entry, dict) for entry in drivers):
+        raise ValueError("drivers must be a JSON array of objects")
     config = _load_config(args.config)
-    scenario = ScenarioSpec.from_dict(manifest["scenario"])
+    scenario = ScenarioSpec.from_dict(manifest.get("scenario"))
     # the cohort's own node distances and retrigger rank below the config
     recorded = {k: manifest[k] for k in ("node_distances", "retrigger") if k in manifest}
     settings = _settings(args, config, recorded)
@@ -274,7 +281,7 @@ def _cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     safety_rows = []
     performance_rows = []
-    for entry in manifest["drivers"]:
+    for entry in drivers:
         # a driver that fails is left out of both reports, not the whole cohort
         try:
             log = load_drive_log(cohort_path.parent / entry["log"])
@@ -288,7 +295,7 @@ def _cmd_evaluate(args) -> int:
     write_performance_report(
         performance_rows, out_dir / "performance.csv", out_dir / "performance.json"
     )
-    left_out = len(manifest["drivers"]) - len(safety_rows)
+    left_out = len(drivers) - len(safety_rows)
     note = f", {left_out} left out" if left_out else ""
     print(f"evaluated {len(safety_rows)} drivers over {len(segments)} curve segments -> {out_dir}{note}")
     return DATA_ERROR if left_out else 0

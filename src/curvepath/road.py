@@ -121,14 +121,15 @@ def to_planning_frame(global_pose: Pose, frame: PlanningFrame) -> Pose:
     return Pose(c * dx + s * dy, -s * dx + c * dy, global_pose.theta - o.theta)
 
 
+def _from_frame(origin: Pose, x, y, theta):
+    """x, y and theta of a frame whose origin sits at `origin`, mapped out of
+    that frame; takes floats or arrays."""
+    c, s = math.cos(origin.theta), math.sin(origin.theta)
+    return origin.x + c * x - s * y, origin.y + s * x + c * y, theta + origin.theta
+
+
 def from_planning_frame(local_pose: Pose, frame: PlanningFrame) -> Pose:
-    o = frame.origin
-    c, s = math.cos(o.theta), math.sin(o.theta)
-    return Pose(
-        o.x + c * local_pose.x - s * local_pose.y,
-        o.y + s * local_pose.x + c * local_pose.y,
-        local_pose.theta + o.theta,
-    )
+    return Pose(*_from_frame(frame.origin, local_pose.x, local_pose.y, local_pose.theta))
 
 
 def project_to_polyline(x, y, px, py) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,13 +290,10 @@ class Corridor:
         A rigid motion leaves s, kappa and the heading increments unchanged,
         so the result is valid by construction and is not checked again.
         """
-        c, s = math.cos(anchor.theta), math.sin(anchor.theta)
         return Corridor._derived(
             self.lane_width,
             self.s,
-            anchor.x + c * self.x - s * self.y,
-            anchor.y + s * self.x + c * self.y,
-            self.theta + anchor.theta,
+            *_from_frame(anchor, self.x, self.y, self.theta),
             self.kappa,
         )
 

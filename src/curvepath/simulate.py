@@ -214,6 +214,27 @@ _SEGMENT_KEYS = {
 }
 
 
+def _json_number(d: dict, key: str, default: float | None = None) -> float:
+    """The number under key in a JSON object, or default when key is absent;
+    a missing key without a default or a value that is not a number raises a
+    ValueError naming key."""
+    if key not in d:
+        if default is None:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    try:
+        return float(d[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {d[key]!r}") from None
+
+
+def _json_of_type(value, kind: type, what: str):
+    """value, checked to be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 @dataclass(frozen=True)
 class RoadSegmentSpec:
     """One scenario road piece with affine curvature."""
@@ -251,13 +272,15 @@ class RoadSegmentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoadSegmentSpec":
-        try:
-            keys = _SEGMENT_KEYS.get(d["kind"], {})
-            kappas = {field: float(d[key]) for key, fields in keys.items() for field in fields}
-            length = float(d["length"])
-        except KeyError as exc:
-            raise ValueError(f"missing key {exc}") from None
-        return cls(d["kind"], length, **kappas)
+        _json_of_type(d, dict, "segment")
+        if "kind" not in d:
+            raise ValueError("missing key 'kind'")
+        kind = d["kind"]
+        if not isinstance(kind, str):
+            raise ValueError(f"kind must be a string, got {kind!r}")
+        keys = _SEGMENT_KEYS.get(kind, {})
+        kappas = {field: _json_number(d, key) for key, fields in keys.items() for field in fields}
+        return cls(kind, _json_number(d, "length"), **kappas)
 
     def to_dict(self) -> dict:
         kappas = {key: getattr(self, fields[0]) for key, fields in _SEGMENT_KEYS[self.kind].items()}
@@ -291,16 +314,19 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        _json_of_type(d, dict, "scenario")
+        if "segments" not in d:
+            raise ValueError("missing key 'segments'")
         segments = []
-        for i, s in enumerate(d["segments"]):
+        for i, s in enumerate(_json_of_type(d["segments"], list, "segments")):
             try:
                 segments.append(RoadSegmentSpec.from_dict(s))
             except ValueError as exc:
                 raise ValueError(f"segment {i}: {exc}") from None
         return cls(
             segments=tuple(segments),
-            lane_width=float(d.get("lane_width", DEFAULT_LANE_WIDTH_M)),
-            speed=float(d.get("speed", DEFAULT_SPEED_MPS)),
+            lane_width=_json_number(d, "lane_width", DEFAULT_LANE_WIDTH_M),
+            speed=_json_number(d, "speed", DEFAULT_SPEED_MPS),
         )
 
     def to_dict(self) -> dict:
@@ -387,6 +413,8 @@ class SyntheticDriverSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.offset_noise_sigma):
+            raise ValueError(f"offset noise sigma must be finite, got {self.offset_noise_sigma}")
         if self.offset_noise_sigma < 0:
             raise ValueError("offset noise sigma must be non-negative")
 
