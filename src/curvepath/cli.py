@@ -44,6 +44,8 @@ from .simulate import (
     SyntheticDriverSpec,
     build_scenario_road,
     generate_synthetic_driver_log,
+    json_field,
+    json_value,
     load_drive_log,
     run_replay,
     s_curve_scenario,
@@ -71,10 +73,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
+        return json_value(json.load(fh), dict, f"{path}: config")
 
 
 _SCENARIOS = {"s-curve": s_curve_scenario, "winding": winding_scenario}
@@ -86,16 +85,9 @@ def _scenario_from(args, config: dict) -> ScenarioSpec:
     return _SCENARIOS[args.scenario or "s-curve"]()
 
 
-def _node_distances(value) -> NodePointParams:
-    distances = [float(d) for d in value]
-    if len(distances) != 3:
-        raise ValueError(f"need 3 numbers, got {len(distances)}")
-    return NodePointParams(*distances)
-
-
-# shared setting -> (default, type)
+# shared setting -> (default, JSON kind)
 _SETTINGS = {
-    "node_distances": (DEFAULT_NODE_DISTANCES, _node_distances),
+    "node_distances": (list(DEFAULT_NODE_DISTANCES), list[float]),
     "retrigger": (DEFAULT_RETRIGGER_CYCLES, int),
     "kappa_threshold": (DEFAULT_KAPPA_THRESHOLD, float),
     "min_curve_length": (DEFAULT_MIN_CURVE_LENGTH_M, float),
@@ -108,12 +100,13 @@ def _settings(args, *layers: dict) -> argparse.Namespace:
     (the config, then evaluate's cohort manifest), which beat the default."""
     given = {key: value for key, value in vars(args).items() if value is not None}
     found = ChainMap(given, *layers)
-    settings = argparse.Namespace()
-    for key, (default, typed) in _SETTINGS.items():
-        try:
-            setattr(settings, key, typed(found.get(key, default)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{key}: {exc}") from None
+    settings = argparse.Namespace(
+        **{key: json_field(found, key, kind, default) for key, (default, kind) in _SETTINGS.items()}
+    )
+    distances = settings.node_distances
+    if len(distances) != 3:
+        raise ValueError(f"node_distances: need 3 numbers, got {len(distances)}")
+    settings.node_distances = NodePointParams(*distances)
     return settings
 
 
@@ -121,8 +114,8 @@ def _load_gains(path: str) -> GainMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
-        data = data["gains_row_major"]
-    return GainMatrix.from_row_major(data)
+        data = json_field(data, "gains_row_major", list)
+    return GainMatrix.from_row_major(json_value(data, list[float], "gains"))
 
 
 def _random_gains(rng: np.random.Generator) -> GainMatrix:
@@ -141,13 +134,13 @@ def _cmd_synth(args) -> int:
     road = build_scenario_road(scenario)
     rng = np.random.default_rng(args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     drivers = []
     for i in range(1, args.drivers + 1):
         gains = _random_gains(rng)
         seed = int(rng.integers(0, 2**31 - 1))
         spec = SyntheticDriverSpec(gains_true=gains, offset_noise_sigma=args.sigma, seed=seed)
+        # created once the first spec holds, so a bad --sigma writes nothing
+        out_dir.mkdir(parents=True, exist_ok=True)
         log = generate_synthetic_driver_log(
             road, spec, params=settings.node_distances, retrigger=settings.retrigger, speed=scenario.speed
         )
@@ -262,12 +255,8 @@ def _evaluate_driver(log: DriveLog, road, settings, vehicle, segments):
 def _cmd_evaluate(args) -> int:
     cohort_path = Path(args.cohort)
     with open(cohort_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{cohort_path}: cohort manifest must be a JSON object")
-    drivers = manifest.get("drivers")
-    if not isinstance(drivers, list) or not all(isinstance(entry, dict) for entry in drivers):
-        raise ValueError("drivers must be a JSON array of objects")
+        manifest = json_value(json.load(fh), dict, f"{cohort_path}: cohort manifest")
+    drivers = json_field(manifest, "drivers", list[dict])
     config = _load_config(args.config)
     scenario = ScenarioSpec.from_dict(manifest.get("scenario"))
     # the cohort's own node distances and retrigger rank below the config
@@ -281,16 +270,18 @@ def _cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     safety_rows = []
     performance_rows = []
-    for entry in drivers:
+    for i, entry in enumerate(drivers):
         # a driver that fails is left out of both reports, not the whole cohort
+        name = f"driver {i}"
         try:
-            log = load_drive_log(cohort_path.parent / entry["log"])
+            name = json_field(entry, "id", str, name)
+            log = load_drive_log(cohort_path.parent / json_field(entry, "log", str))
             safety, performance = _evaluate_driver(log, road, settings, vehicle, segments)
         except DATA_ERRORS as exc:
-            sys.stderr.write(f"curvepath evaluate: {entry['id']}: {exc}\n")
+            sys.stderr.write(f"curvepath evaluate: {name}: {exc}\n")
             continue
-        safety_rows.append((entry["id"], safety))
-        performance_rows.append((entry["id"], performance))
+        safety_rows.append((name, safety))
+        performance_rows.append((name, performance))
     write_safety_report(safety_rows, out_dir / "safety.csv", out_dir / "safety.json")
     write_performance_report(
         performance_rows, out_dir / "performance.csv", out_dir / "performance.json"

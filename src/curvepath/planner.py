@@ -39,7 +39,7 @@ class NodePointParams:
     def __post_init__(self):
         if not (0.0 < self.d_near < self.d_mid < self.d_far <= MAX_PREVIEW_M):
             raise ValueError(
-                f"node distances must satisfy 0 < near < mid < far <= {MAX_PREVIEW_M}, "
+                f"node_distances must satisfy 0 < near < mid < far <= {MAX_PREVIEW_M}, "
                 f"got ({self.d_near}, {self.d_mid}, {self.d_far})"
             )
 

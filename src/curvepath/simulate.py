@@ -20,6 +20,7 @@ import bisect
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -115,6 +116,42 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# JSON kind -> the Python types json.load gives for it and its name in messages
+_JSON_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    list: (list, "a JSON array"),
+    dict: (dict, "a JSON object"),
+}
+
+
+def json_value(value, kind, what: str):
+    """value, checked to be of one JSON kind, or an array of one (list[kind]).
+    A bool is never a number and nothing is coerced: any other value raises a
+    ValueError naming what. A number comes back as a float, as written outputs hold it."""
+    (item,) = get_args(kind) or (None,)
+    types, name = _JSON_KINDS[get_origin(kind) or kind]
+    try:
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError
+        if item is not None:
+            return [json_value(v, item, what) for v in value]
+    except ValueError:
+        of = f" of {_JSON_KINDS[item][1].split()[-1]}s" if item else ""
+        raise ValueError(f"{what} must be {name}{of}, got {value!r:.60}") from None
+    return float(value) if kind is float else value
+
+
+def json_field(obj, key: str, kind, default=None):
+    """The value under key in a JSON object (or any mapping), or default when
+    key is absent, typed by json_value under the name key; a missing key
+    without a default raises a ValueError naming it."""
+    if default is None and key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return json_value(obj.get(key, default), kind, key)
 
 
 @dataclass(eq=False)
@@ -214,27 +251,6 @@ _SEGMENT_KEYS = {
 }
 
 
-def _json_number(d: dict, key: str, default: float | None = None) -> float:
-    """The number under key in a JSON object, or default when key is absent;
-    a missing key without a default or a value that is not a number raises a
-    ValueError naming key."""
-    if key not in d:
-        if default is None:
-            raise ValueError(f"missing key {key!r}")
-        return default
-    try:
-        return float(d[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {d[key]!r}") from None
-
-
-def _json_of_type(value, kind: type, what: str):
-    """value, checked to be a JSON object (kind dict) or array (kind list)."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
-    return value
-
-
 @dataclass(frozen=True)
 class RoadSegmentSpec:
     """One scenario road piece with affine curvature."""
@@ -272,15 +288,10 @@ class RoadSegmentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoadSegmentSpec":
-        _json_of_type(d, dict, "segment")
-        if "kind" not in d:
-            raise ValueError("missing key 'kind'")
-        kind = d["kind"]
-        if not isinstance(kind, str):
-            raise ValueError(f"kind must be a string, got {kind!r}")
+        kind = json_field(json_value(d, dict, "segment"), "kind", str)
         keys = _SEGMENT_KEYS.get(kind, {})
-        kappas = {field: _json_number(d, key) for key, fields in keys.items() for field in fields}
-        return cls(kind, _json_number(d, "length"), **kappas)
+        kappas = {field: json_field(d, key, float) for key, fields in keys.items() for field in fields}
+        return cls(kind, json_field(d, "length", float), **kappas)
 
     def to_dict(self) -> dict:
         kappas = {key: getattr(self, fields[0]) for key, fields in _SEGMENT_KEYS[self.kind].items()}
@@ -314,19 +325,16 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
-        _json_of_type(d, dict, "scenario")
-        if "segments" not in d:
-            raise ValueError("missing key 'segments'")
         segments = []
-        for i, s in enumerate(_json_of_type(d["segments"], list, "segments")):
+        for i, s in enumerate(json_field(json_value(d, dict, "scenario"), "segments", list)):
             try:
                 segments.append(RoadSegmentSpec.from_dict(s))
             except ValueError as exc:
                 raise ValueError(f"segment {i}: {exc}") from None
         return cls(
             segments=tuple(segments),
-            lane_width=_json_number(d, "lane_width", DEFAULT_LANE_WIDTH_M),
-            speed=_json_number(d, "speed", DEFAULT_SPEED_MPS),
+            lane_width=json_field(d, "lane_width", float, DEFAULT_LANE_WIDTH_M),
+            speed=json_field(d, "speed", float, DEFAULT_SPEED_MPS),
         )
 
     def to_dict(self) -> dict:

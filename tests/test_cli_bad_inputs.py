@@ -31,6 +31,12 @@ def cohort(tmp_path_factory):
         ("synth", {"node_distances": [1, 2]}, "node_distances"),
         ("synth", {"vehicle_width": "wide"}, "vehicle_width"),
         ("evaluate", {"kappa_threshold": None}, "kappa_threshold"),
+        # a number is never a bool or a quoted string, and retrigger takes only a JSON integer
+        ("synth", {"retrigger": 2.7}, "retrigger"),
+        ("synth", {"retrigger": True}, "retrigger"),
+        ("synth", {"retrigger": "30"}, "retrigger"),
+        ("evaluate", {"kappa_threshold": "0.001"}, "kappa_threshold"),
+        ("synth", {"node_distances": ["10", "39", "137"]}, "node_distances"),
     ],
 )
 def test_bad_config_setting_is_named(command, config, key, cohort, tmp_path, capsys):
@@ -42,6 +48,7 @@ def test_bad_config_setting_is_named(command, config, key, cohort, tmp_path, cap
     err = capsys.readouterr().err
     assert "error:" in err and key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 STRAIGHT = {"kind": "straight", "length": 100.0}

@@ -1,8 +1,9 @@
 """Wrong-typed JSON input and out-of-range `synth` options end the command
 with exit code 2 and a message naming the key or option, never a traceback:
 scenario values of the wrong type, a cohort manifest whose scenario or
-drivers are not what `synth` writes, a non-finite `--sigma` and a
-`--drivers` count below 1."""
+drivers are not what `synth` writes, a gains file whose gains are not
+numbers, a non-finite `--sigma` and a `--drivers` count below 1. A cohort
+driver entry of the wrong type costs that driver only."""
 
 import json
 
@@ -34,9 +35,11 @@ def _check(argv, message, capsys):
         ({"segments": STRAIGHT}, "segments must be a JSON array"),
         ({"lane_width": 3.5}, "missing key 'segments'"),
         ([], "scenario must be a JSON object"),
+        ({"segments": [{"kind": "straight", "length": True}]}, "segment 0: length must be a number"),
+        ({"segments": [{"kind": "straight", "length": "600"}]}, "segment 0: length must be a number"),
     ],
     ids=["null-length", "list-kappa", "null-kind", "string-segment", "null-lane-width", "string-speed",
-         "object-segments", "no-segments", "list-scenario"],
+         "object-segments", "no-segments", "list-scenario", "bool-length", "string-length"],
 )
 def test_wrong_typed_scenario_is_named(scenario, message, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -72,10 +75,67 @@ def test_wrong_typed_manifest_is_named(key, value, message, manifest, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "gains, message",
+    [
+        ({"gains": [1.0] * 9}, "missing key 'gains_row_major'"),
+        ([True] + [1.0] * 8, "gains must be a JSON array of numbers"),
+        (["1"] + [1.0] * 8, "gains must be a JSON array of numbers"),
+        ({"gains_row_major": [1.0] * 8 + ["1"]}, "gains must be a JSON array of numbers"),
+    ],
+    ids=["no-gains-key", "bool-gain", "string-gain", "string-gain-in-object"],
+)
+def test_wrong_typed_gains_are_named(gains, message, manifest, tmp_path, capsys):
+    path = tmp_path / "gains.json"
+    path.write_text(json.dumps(gains))
+    out = tmp_path / "sim"
+    _check(["simulate", "--log", manifest.parent / "driver_01.csv", "--gains", path, "--out-prefix", out / "run"],
+           message, capsys)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def two_drivers(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cohort2")
+    assert main(["synth", "--out-dir", str(out), "--drivers", "2", "--sigma", "0.03", "--seed", "4"]) == 0
+    return out / "cohort.json"
+
+
+def _no_id_missing_log(entry):
+    del entry["id"]
+    entry["log"] = "missing.csv"
+
+
+def _number_log(entry):
+    entry["log"] = 5
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_no_id_missing_log, "curvepath evaluate: driver 1: "),
+     (_number_log, "curvepath evaluate: driver_02: log must be a string")],
+    ids=["no-id", "number-log"],
+)
+def test_a_wrong_typed_driver_entry_is_left_out(corrupt, message, two_drivers, tmp_path, capsys):
+    data = json.loads(two_drivers.read_text())
+    corrupt(data["drivers"][1])
+    broken = two_drivers.with_name(f"broken_{corrupt.__name__}.json")
+    broken.write_text(json.dumps(data))
+    reports = tmp_path / "reports"
+    capsys.readouterr()
+    assert main(["evaluate", "--cohort", str(broken), "--out-dir", str(reports)]) == DATA_ERROR
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert "1 left out" in captured.out
+    for name in ("safety", "performance"):
+        assert [r["driver_id"] for r in json.loads((reports / f"{name}.json").read_text())] == ["driver_01"]
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
 def test_non_finite_sigma_is_named(sigma, tmp_path, capsys):
-    _check(["synth", "--drivers", 1, f"--sigma={sigma}", "--out-dir", tmp_path / "out"],
-           "sigma must be finite", capsys)
+    out = tmp_path / "out"
+    _check(["synth", "--drivers", 1, f"--sigma={sigma}", "--out-dir", out], "sigma must be finite", capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("drivers", [0, -3])
