@@ -8,11 +8,18 @@ node-count sweep (without the fields that name the time or the log path,
 and without the sweep's wall-time column), validation and estimation traces
 with their replans, both case-study series and the evaluation reports of
 both cohorts. `compare` checks two such directories file by file and
-prints the largest deviation of each.
+prints the largest deviation of each. `check` does the same for only the
+files that its reference directory holds, such as the committed
+scripts/parity_reference (the result files without the drive logs, traces
+and replans).
 
     PYTHONPATH=src python scripts/parity.py write out/new
     PYTHONPATH=../parent/src python scripts/parity.py write out/parent
     python scripts/parity.py compare out/parent out/new
+    python scripts/parity.py check scripts/parity_reference out/new
+
+A change that moves a reference value regenerates the reference from a
+fresh `write` (copy the files it holds) and states the `compare` output.
 
 `write` imports curvepath from the Python path, so pointing PYTHONPATH at
 another checkout's `src` (for example a `git worktree` of the parent
@@ -142,12 +149,15 @@ def compare_file(base: Path, new: Path) -> tuple[list[str], dict]:
     return only + errors[:5], deviations
 
 
-def compare(base: Path, new: Path) -> int:
+def compare(base: Path, new: Path, base_files_only: bool = False) -> int:
+    """Compare the files of two directories; with base_files_only, only the
+    files base holds, each of which new must hold too."""
     names = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
-    others = sorted(p.relative_to(new) for p in new.rglob("*") if p.is_file())
-    failed = names != others
+    others = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    differ = set(names) - others if base_files_only else set(names) ^ others
+    failed = bool(differ)
     if failed:
-        print(f"file sets differ: {sorted(set(names) ^ set(others))}")
+        print(f"file sets differ: {sorted(map(str, differ))}")
     for name in names:
         if not (new / name).is_file():
             continue
@@ -178,13 +188,16 @@ def main() -> int:
     p = sub.add_parser("compare", help="compare two directories written by `write`")
     p.add_argument("base", type=Path)
     p.add_argument("new", type=Path)
+    p = sub.add_parser("check", help="compare the files a reference directory holds with a directory written by `write`")
+    p.add_argument("base", type=Path, metavar="reference")
+    p.add_argument("new", type=Path)
     args = parser.parse_args()
     if args.mode == "write":
         if args.out.exists() and any(args.out.iterdir()):
             parser.error(f"{args.out} is not empty")
         write(args.out)
         return 0
-    return compare(args.base, args.new)
+    return compare(args.base, args.new, base_files_only=args.mode == "check")
 
 
 if __name__ == "__main__":

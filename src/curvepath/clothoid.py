@@ -20,8 +20,8 @@ integrand scaled to the panel, which for exp(i phase) is at most
 sum_j (2n)! / (j! (2n-2j)! 2^j) r^(2n-j). That bounds the truncation error
 of the two integrals by 1.5e-15 (the Jacobian's moments by 2e-14) in every
 row, for the capped row up to r = 20 (slope 5120). Lane-keeping fits and
-samples almost all have slope below 1, so 8 nodes; rounding dominates what
-is left.
+samples almost all have slope below 1, so one panel of 8 nodes, which the
+rule returns without sizing anything; rounding dominates what is left.
 
 G1 fitting normalises the problem to the chord frame and reduces it to a
 scalar root-find in the heading-integral parameter, solved by Newton from
@@ -88,6 +88,8 @@ def _rule(slope: float):
     """The grid for a phase slope |a| + |b|: a few radians of phase per panel,
     at most 256 panels, then the fewest nodes that keep the remainder bound
     at the phase rise each panel sees."""
+    if slope <= 1.0:  # one panel of 8 nodes, the rule of almost every call
+        return _grid(1, 8)
     panels = min(256, math.ceil((slope + 1.0) / 4.0))
     rise = slope / panels
     for limit, order in _GL_ORDERS:
@@ -101,17 +103,25 @@ def _scalar_phase_integrals(a: float, b: float, c: float, tau_moments: bool = Fa
     Same grid and per-node arithmetic as the array kernel; only the
     summation order differs (sequential here, pairwise in numpy).
     """
-    x0 = y0 = x1 = x2 = 0.0
-    for tau, tau2, w in _rule(abs(a) + abs(b))[3]:
-        phase = 0.5 * a * tau2 + b * tau + c
-        cw = math.cos(phase) * w
-        x0 += cw
-        y0 += math.sin(phase) * w
-        if tau_moments:
-            x1 += cw * tau
-            x2 += cw * tau * tau
+    cos, sin = math.cos, math.sin
+    nodes = _rule(abs(a) + abs(b))[3]
+    half_a = 0.5 * a
+    x0 = y0 = 0.0
     if not tau_moments:
+        for tau, tau2, w in nodes:
+            phase = half_a * tau2 + b * tau + c
+            x0 += cos(phase) * w
+            y0 += sin(phase) * w
         return x0, y0
+    x1 = x2 = 0.0
+    for tau, tau2, w in nodes:
+        phase = half_a * tau2 + b * tau + c
+        cw = cos(phase) * w
+        x0 += cw
+        y0 += sin(phase) * w
+        cw_tau = cw * tau
+        x1 += cw_tau
+        x2 += cw_tau * tau
     return x0, y0, x1, x2
 
 

@@ -115,16 +115,14 @@ class PlannedPath:
     frame: PlanningFrame
 
 
-def select_node_points(
-    corridor: Corridor, params: NodePointParams
-) -> tuple[tuple[Pose, Pose, Pose], tuple[float, float, float]]:
+def select_node_points(corridor: Corridor, params: NodePointParams) -> tuple[Pose, Pose, Pose]:
     """Nominate the midline poses at the near/mid/far arc lengths."""
     if corridor.length + 1e-9 < params.d_far:
         raise InsufficientPreviewError(
             f"corridor length {corridor.length:.2f} m is shorter than the far "
             f"node distance {params.d_far:.2f} m"
         )
-    return corridor.poses_at(params.distances), params.distances
+    return corridor.poses_at(params.distances)
 
 
 def average_curvatures(corridor: Corridor, node_arclengths) -> CurvatureInput:
@@ -135,10 +133,11 @@ def average_curvatures(corridor: Corridor, node_arclengths) -> CurvatureInput:
         raise InsufficientPreviewError(
             f"node arc length {d_far:.2f} m beyond corridor ({corridor.length:.2f} m)"
         )
-    bounds = np.array([0.0, d_near, d_mid, d_far])
-    headings = corridor.heading_unwrapped_at(bounds)
-    means = np.diff(headings) / np.diff(bounds)
-    return CurvatureInput(*(float(v) for v in means))
+    # four bounds: one interpolation, then Python floats beat numpy's
+    # per-call overhead
+    b0, b1, b2, b3 = bounds = (0.0, float(d_near), float(d_mid), float(d_far))
+    h0, h1, h2, h3 = corridor.heading_unwrapped_at(bounds).tolist()
+    return CurvatureInput((h1 - h0) / (b1 - b0), (h2 - h1) / (b2 - b1), (h3 - h2) / (b3 - b2))
 
 
 def compute_offsets(gains: GainMatrix, kappas: CurvatureInput) -> OffsetVector:
@@ -162,7 +161,7 @@ def plan_path_from_offsets(
     the planning frame before fitting: each fit is normalised to its chord
     frame, so the curves do not depend on the frame they are fitted in.
     """
-    nominal, _ = select_node_points(corridor, params)
+    nominal = select_node_points(corridor, params)
 
     if (largest := offsets.max_abs()) >= 0.5 * corridor.lane_width:
         logger.warning(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -86,13 +86,6 @@ def eval_lane_polynomial(poly: LanePolynomial, x):
 def _poly_value(poly: LanePolynomial, xs: np.ndarray):
     """Lateral midline position y(x), without a range check."""
     return poly.c0 + poly.c1 * xs + 0.5 * poly.c2 * xs**2 + (1.0 / 6.0) * poly.c3 * xs**3
-
-
-def _poly_slope_curvature(poly: LanePolynomial, xs: np.ndarray):
-    """First and second derivatives of the lane polynomial."""
-    dy = poly.c1 + poly.c2 * xs + 0.5 * poly.c3 * xs**2
-    ddy = poly.c2 + poly.c3 * xs
-    return dy, ddy
 
 
 def offset_point(nominal: Pose, delta: float) -> Pose:
@@ -219,11 +212,15 @@ class Corridor:
             raise CorridorError("corridor arc length must start at 0")
         s -= s[0]
         ds = s[1:] - s[:-1]
-        if (ds <= 0).any():
+        # one reduction each instead of a comparison array and any(): the
+        # steps of finite stations are never nan, and fmax skips the nan a
+        # residual gets from inf - inf, as the comparison would
+        if ds.min() <= 0:
             raise CorridorError(_NOT_INCREASING)
         if not self.lane_width > 0:
             raise CorridorError("lane_width must be positive")
-        if (_heading_residual(theta[1:] - theta[:-1], kappa[:-1], kappa[1:], ds) > _HEADING_STEP_TOL).any():
+        residual = _heading_residual(theta[1:] - theta[:-1], kappa[:-1], kappa[1:], ds)
+        if np.fmax.reduce(residual) > _HEADING_STEP_TOL:
             raise CorridorError(_HEADING_MISMATCH)
         self._store(arrays)
 
@@ -363,6 +360,18 @@ class Corridor:
         return self.s[seg] + t * (self.s[seg + 1] - self.s[seg]), offsets
 
 
+@lru_cache(maxsize=32)
+def _sample_grid(preview: float, step: float):
+    """x, x**2, x**3 and the x steps of the polynomial corridor's sample grid
+    over [0, preview], as read-only arrays."""
+    n = max(2, int(math.ceil(preview / step)) + 1)
+    xs = np.linspace(0.0, preview, n)
+    grid = (xs, xs**2, xs**3, np.diff(xs))
+    for array in grid:
+        array.setflags(write=False)
+    return grid
+
+
 def corridor_from_polynomial(
     poly: LanePolynomial,
     step: float = DEFAULT_CORRIDOR_STEP_M,
@@ -371,17 +380,19 @@ def corridor_from_polynomial(
     """Resample a lane polynomial into an arc-length corridor.
 
     Samples cover x in [0, preview_length]; heading is atan(dy/dx), curvature
-    y'' / (1 + y'^2)^(3/2), and arc length accumulates chord lengths.
+    y'' / (1 + y'^2)^(3/2), and arc length accumulates chord lengths. The x
+    grid, its powers and its steps are cached per (preview, step) as
+    read-only arrays; Corridor copies x, so no corridor holds a cached array.
     """
     if not step > 0:
         raise ValueError("step must be positive")
-    n = max(2, int(math.ceil(poly.preview_length / step)) + 1)
-    xs = np.linspace(0.0, poly.preview_length, n)
-    ys = _poly_value(poly, xs)  # xs lies in [0, preview]: no range check
-    dy, ddy = _poly_slope_curvature(poly, xs)
-    theta = np.arctan(dy)
-    kappa = ddy / (1.0 + dy**2) ** 1.5
-    s = np.empty(n)
+    xs, xs2, xs3, dx = _sample_grid(poly.preview_length, step)
+    c0, c1, c2, c3 = poly.coefficients
+    # the expressions and operand order of _poly_value and of its derivatives
+    ys = c0 + c1 * xs + 0.5 * c2 * xs2 + (1.0 / 6.0) * c3 * xs3
+    dy = c1 + c2 * xs + 0.5 * c3 * xs2
+    kappa = (c2 + c3 * xs) / (1.0 + dy**2) ** 1.5
+    s = np.empty(xs.size)
     s[0] = 0.0
-    np.cumsum(np.hypot(np.diff(xs), np.diff(ys)), out=s[1:])
-    return Corridor(s=s, x=xs, y=ys, theta=theta, kappa=kappa, lane_width=lane_width)
+    np.cumsum(np.hypot(dx, ys[1:] - ys[:-1]), out=s[1:])
+    return Corridor(s=s, x=xs, y=ys, theta=np.arctan(dy), kappa=kappa, lane_width=lane_width)

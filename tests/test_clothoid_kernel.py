@@ -94,7 +94,7 @@ def test_planning_frame_fit_matches_global_fit(scenario):
         frame = PlanningFrame(origin=ego)
         planned = plan_path_from_offsets(corr, offsets, params, frame)
 
-        nominal, _ = select_node_points(corr, params)
+        nominal = select_node_points(corr, params)
         nodes = [offset_point(p, d) for p, d in zip(nominal, offsets.as_array())]
         reference = fit_composite((ego, *nodes))
         for got, want in zip(planned.path.segments, reference.segments):

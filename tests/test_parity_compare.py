@@ -71,3 +71,18 @@ def test_compare_names_added_keys_and_checks_shared_values(parity, tmp_path, cap
     out = capsys.readouterr().out
     assert "/1/reason" in out
     assert "offsets: " in out and "over 1e-09" in out
+
+
+def test_check_compares_only_the_files_the_reference_holds(parity, tmp_path, capsys):
+    new = _write(tmp_path / "new")
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    shutil.copy(new / "replans.json", reference / "replans.json")
+    assert parity.compare(reference, new, base_files_only=True) == 0
+    assert parity.compare(reference, new) == 1
+    (reference / "replans.json").write_text((new / "replans.json").read_text().replace("0.3", "0.4"))
+    assert parity.compare(reference, new, base_files_only=True) == 1
+    shutil.copy(new / "replans.json", reference / "replans.json")
+    (new / "replans.json").unlink()
+    assert parity.compare(reference, new, base_files_only=True) == 1
+    assert "file sets differ: ['replans.json']" in capsys.readouterr().out

@@ -49,16 +49,15 @@ class TestNodePointParams:
 
 class TestSelectNodePoints:
     def test_straight_defaults(self):
-        poses, arcs = select_node_points(straight_corridor(), NodePointParams())
-        assert arcs == (10.0, 39.0, 137.0)
-        for pose, d in zip(poses, arcs):
+        poses = select_node_points(straight_corridor(), NodePointParams())
+        for pose, d in zip(poses, NodePointParams().distances):
             assert pose.x == pytest.approx(d, abs=1e-9)
             assert pose.y == pytest.approx(0.0, abs=1e-9)
             assert pose.theta == pytest.approx(0.0, abs=1e-12)
 
     def test_heading_on_circle(self):
         corr = arc_corridor(1.0 / 500.0)
-        poses, _ = select_node_points(corr, NodePointParams())
+        poses = select_node_points(corr, NodePointParams())
         assert poses[0].theta == pytest.approx(10.0 / 500.0, abs=1e-9)
 
     def test_short_corridor_rejected(self):

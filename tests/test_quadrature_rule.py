@@ -12,7 +12,9 @@ from scipy.integrate import IntegrationWarning, quad
 
 from curvepath.clothoid import (
     _GL_ORDERS,
+    _grid,
     _phase_integrals,
+    _rule,
     _scalar_phase_integrals,
     _solve_flattening,
     fit_g1,
@@ -149,3 +151,43 @@ def test_fit_length_reuses_the_root_projection(x, y, chord, direction, dev0, dev
     # A is the one the segment was built from
     assert seg.kappa_rate == 2.0 * big_a / length**2
     assert seg.kappa0 == (delta - big_a) / length
+
+
+@pytest.mark.parametrize("slope", [0.0, 1e-300, 0.5, 1.0])
+def test_rule_takes_one_eight_node_panel_up_to_slope_one(slope):
+    assert _rule(slope) is _grid(1, 8)
+
+
+def test_rule_just_above_slope_one_takes_ten_nodes():
+    tau, _, wts, nodes = _rule(np.nextafter(1.0, 2.0))
+    assert tau.size == wts.size == len(nodes) == 10
+
+
+def summed_phase_integrals(a, b, c, tau_moments):
+    """The scalar kernel as one loop over the rule's nodes, with the moments
+    summed under a flag."""
+    x0 = y0 = x1 = x2 = 0.0
+    for tau, tau2, w in _rule(abs(a) + abs(b))[3]:
+        phase = 0.5 * a * tau2 + b * tau + c
+        cw = math.cos(phase) * w
+        x0 += cw
+        y0 += math.sin(phase) * w
+        if tau_moments:
+            x1 += cw * tau
+            x2 += cw * tau * tau
+    return (x0, y0, x1, x2) if tau_moments else (x0, y0)
+
+
+def test_scalar_kernel_keeps_its_bits():
+    rng = np.random.default_rng(41)
+    slope = 3.0 * rng.random(10_000)
+    share = rng.random(10_000)
+    a = slope * share * rng.choice((-1.0, 1.0), 10_000)
+    b = slope * (1.0 - share) * rng.choice((-1.0, 1.0), 10_000)
+    c = rng.uniform(-math.pi, math.pi, 10_000)
+    for args in zip(a.tolist(), b.tolist(), c.tolist()):
+        assert abs(args[0]) + abs(args[1]) <= 3.0
+        for tau_moments in (False, True):
+            got = np.array(_scalar_phase_integrals(*args, tau_moments=tau_moments))
+            want = np.array(summed_phase_integrals(*args, tau_moments))
+            assert got.tobytes() == want.tobytes()
