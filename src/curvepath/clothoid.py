@@ -8,7 +8,9 @@ through circular arcs to strong spirals (no special casing near zero
 curvature rate is required). Two kernels share one grid: a scalar
 pure-Python loop for single points and for every step of a fit, where
 numpy's per-call overhead would dominate, and an array kernel for sampling
-many stations at once.
+many stations at once. A composite path samples all its stations together:
+each segment keeps the grid its own stations size, and the stations of the
+segments that share a grid go through one array-kernel call.
 
 The grid is sized to the phase slope |a| + |b| of (a/2) t^2 + b t + c on
 [0, 1]: min(256, ceil((slope + 1) / 4)) equal panels, so a panel sees a
@@ -125,19 +127,21 @@ def _scalar_phase_integrals(a: float, b: float, c: float, tau_moments: bool = Fa
     return x0, y0, x1, x2
 
 
-def _phase_integrals(a, b, c: float, tau_moments: bool = False):
+def _phase_integrals(a, b, c, tau_moments: bool = False):
     """Integrals of cos/sin((a/2) t^2 + b t + c) over t in [0, 1].
 
-    Elementwise over arrays a and b of one shape, with one scalar c. With
-    tau_moments also returns the first and second cosine moments (needed
-    for the fit Jacobian). One grid, sized by the largest phase slope,
-    serves every element.
+    Elementwise over arrays a, b and c of one shape; c may also be one
+    scalar for every element. With tau_moments also returns the first and
+    second cosine moments (needed for the fit Jacobian). One grid, sized by
+    the largest phase slope, serves every element, and each element's sum
+    is its own row, so it does not depend on the other elements.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
     tau, tau2, wts, _ = _rule(float(np.max(np.abs(a) + np.abs(b))))
 
-    phase = 0.5 * a[..., None] * tau2 + b[..., None] * tau + c
+    phase = 0.5 * a[..., None] * tau2 + b[..., None] * tau + c[..., None]
     cw = np.cos(phase) * wts
     sw = np.sin(phase) * wts
     x0 = cw.sum(axis=-1)
@@ -323,24 +327,56 @@ class CompositePath:
         seg = self.segments[i]
         return seg.kappa0 + seg.kappa_rate * local
 
-    def _pieces(self, stations: np.ndarray):
-        """Yield (segment, mask, local arc lengths) for each segment holding
-        some of the path arc lengths in stations."""
-        idx = np.clip(np.searchsorted(self._bounds, stations, side="right") - 1, 0, len(self.segments) - 1)
-        for i in np.unique(idx):
-            seg = self.segments[i]
-            mask = idx == i
-            yield seg, mask, np.clip(stations[mask] - self._bounds[i], 0.0, seg.length)
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """One column per segment: start station, length, kappa0, kappa_rate
+        and start x, y, theta."""
+        return np.array([(b, seg.length, seg.kappa0, seg.kappa_rate, seg.start.x, seg.start.y, seg.start.theta)
+                         for b, seg in zip(self._bounds, self.segments)]).T
+
+    def _locate_many(self, stations: np.ndarray):
+        """locate() for a flat array of stations, clamped instead of checked:
+        each station's segment index, local arc length and segment column.
+        The start stations are enough to search: a station at or past the
+        path's end falls on the last segment with or without its end."""
+        idx = np.clip(np.searchsorted(self._table[0], stations, side="right") - 1, 0, len(self.segments) - 1)
+        columns = self._table.take(idx, axis=1)
+        return idx, np.clip(stations - columns[0], 0.0, columns[1]), columns
 
     def sample(self, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions and headings at the given path arc lengths."""
+        """Positions and headings at the given path arc lengths.
+
+        Bit for bit what each segment's own sample() gives for its stations:
+        every segment keeps the grid its own stations size, and the stations
+        of all segments that share a grid go through one kernel call.
+        """
         stations = np.asarray(stations, dtype=float)
-        xs = np.empty_like(stations)
-        ys = np.empty_like(stations)
-        ths = np.empty_like(stations)
-        for seg, mask, local in self._pieces(stations):
-            xs[mask], ys[mask], ths[mask] = seg.sample(local)
-        return xs, ys, ths
+        idx, s, (_, _, kappa0, kappa_rate, x, y, theta) = self._locate_many(stations.ravel())
+        s2 = s**2
+        a = kappa_rate * s2
+        b = kappa0 * s
+        # each segment's largest phase slope picks its grid, as in its own
+        # sample(); _grid is cached, so segments on one grid share one object
+        top = np.full(len(self.segments), -1.0)  # -1: no station on the segment, so no group
+        np.maximum.at(top, idx, np.abs(a) + np.abs(b))
+        groups = {}
+        group_of = [-1 if slope < 0 else groups.setdefault(id(_rule(slope)), len(groups))
+                    for slope in top.tolist()]
+        if len(groups) == 1:
+            x0, y0 = _phase_integrals(a, b, theta)
+        else:
+            x0 = np.empty_like(s)
+            y0 = np.empty_like(s)
+            station_group = np.array(group_of)[idx]
+            for group in range(len(groups)):
+                mask = station_group == group
+                x0[mask], y0[mask] = _phase_integrals(a[mask], b[mask], theta[mask])
+        shape = stations.shape
+        return (
+            (x + s * x0).reshape(shape),
+            (y + s * y0).reshape(shape),
+            (theta + kappa0 * s + 0.5 * kappa_rate * s2).reshape(shape),
+        )
 
 
 def fit_composite(node_poses) -> CompositePath:
@@ -364,7 +400,5 @@ def curvature_profile(path: CompositePath, step: float) -> np.ndarray:
         raise ValueError("step must be positive")
     n = max(1, int(math.ceil(path.length / step)))
     stations = np.linspace(0.0, path.length, n + 1)
-    kappas = np.empty_like(stations)
-    for seg, mask, local in path._pieces(stations):
-        kappas[mask] = seg.curvature_at(local)
-    return np.column_stack((stations, kappas))
+    _, local, columns = path._locate_many(stations)
+    return np.column_stack((stations, columns[2] + columns[3] * local))

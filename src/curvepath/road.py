@@ -213,14 +213,14 @@ class Corridor:
         s -= s[0]
         ds = s[1:] - s[:-1]
         # one reduction each instead of a comparison array and any(): the
-        # steps of finite stations are never nan, and fmax skips the nan a
-        # residual gets from inf - inf, as the comparison would
+        # steps of finite stations are never nan, and max() passes on the nan
+        # a residual gets from inf - inf, which the check then rejects
         if ds.min() <= 0:
             raise CorridorError(_NOT_INCREASING)
         if not self.lane_width > 0:
             raise CorridorError("lane_width must be positive")
         residual = _heading_residual(theta[1:] - theta[:-1], kappa[:-1], kappa[1:], ds)
-        if np.fmax.reduce(residual) > _HEADING_STEP_TOL:
+        if not residual.max() <= _HEADING_STEP_TOL:
             raise CorridorError(_HEADING_MISMATCH)
         self._store(arrays)
 
@@ -317,7 +317,7 @@ class Corridor:
             )
             if not s1 - s0 > 0:
                 raise CorridorError(_NOT_INCREASING)
-            if _heading_residual(theta1 - theta0, kappa0, kappa1, s1 - s0) > _HEADING_STEP_TOL:
+            if not (_heading_residual(theta1 - theta0, kappa0, kappa1, s1 - s0) <= _HEADING_STEP_TOL):
                 raise CorridorError(_HEADING_MISMATCH)
         return Corridor._derived(
             self.lane_width,

@@ -1,0 +1,182 @@
+"""CompositePath.sample and curvature_profile, bit for bit against the
+per-segment loop they replace: one ClothoidSegment.sample call per segment
+that holds stations, each on the grid its own stations size."""
+
+import math
+
+import numpy as np
+import pytest
+
+from curvepath.clothoid import ClothoidSegment, CompositePath, _rule, curvature_profile
+from curvepath.road import Pose
+
+
+def reference_phase_integrals(a, b, c: float):
+    """The array kernel with one scalar c, as each segment's sample calls it."""
+    tau, tau2, wts, _ = _rule(float(np.max(np.abs(a) + np.abs(b))))
+    phase = 0.5 * a[..., None] * tau2 + b[..., None] * tau + c
+    return (np.cos(phase) * wts).sum(axis=-1), (np.sin(phase) * wts).sum(axis=-1)
+
+
+def reference_pieces(path: CompositePath, stations: np.ndarray):
+    """(segment, mask, local arc lengths) for each segment holding stations."""
+    bounds = path._bounds
+    idx = np.clip(np.searchsorted(bounds, stations, side="right") - 1, 0, len(path.segments) - 1)
+    for i in np.unique(idx):
+        seg = path.segments[i]
+        mask = idx == i
+        yield seg, mask, np.clip(stations[mask] - bounds[i], 0.0, seg.length)
+
+
+def reference_segment_sample(seg: ClothoidSegment, s: np.ndarray):
+    a = seg.kappa_rate * s**2
+    b = seg.kappa0 * s
+    x0, y0 = reference_phase_integrals(a, b, seg.start.theta)
+    heading = seg.start.theta + seg.kappa0 * s + 0.5 * seg.kappa_rate * s**2
+    return seg.start.x + s * x0, seg.start.y + s * y0, heading
+
+
+def reference_sample(path: CompositePath, stations):
+    stations = np.asarray(stations, dtype=float)
+    xs = np.empty_like(stations)
+    ys = np.empty_like(stations)
+    ths = np.empty_like(stations)
+    slopes = []
+    for seg, mask, local in reference_pieces(path, stations):
+        xs[mask], ys[mask], ths[mask] = reference_segment_sample(seg, local)
+        slopes.append(float(np.max(np.abs(seg.kappa_rate * local**2) + np.abs(seg.kappa0 * local))))
+    return (xs, ys, ths), slopes
+
+
+def reference_curvature_profile(path: CompositePath, step: float) -> np.ndarray:
+    n = max(1, int(math.ceil(path.length / step)))
+    stations = np.linspace(0.0, path.length, n + 1)
+    kappas = np.empty_like(stations)
+    for seg, mask, local in reference_pieces(path, stations):
+        kappas[mask] = seg.curvature_at(local)
+    return np.column_stack((stations, kappas))
+
+
+def assert_same_bits(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert isinstance(g, np.ndarray)
+        assert g.shape == e.shape and g.dtype == e.dtype
+        assert g.tobytes() == e.tobytes()
+
+
+def chained_path(rng, count: int) -> CompositePath:
+    """count segments, each starting at the previous one's end pose."""
+    start = Pose(*rng.normal(0.0, (50.0, 50.0, 1.0)))
+    segments = []
+    for _ in range(count):
+        seg = ClothoidSegment(
+            start=start,
+            kappa0=float(rng.normal(0.0, 0.03)),
+            kappa_rate=float(rng.normal(0.0, 1e-3)),
+            length=float(rng.uniform(5.0, 70.0)),
+        )
+        segments.append(seg)
+        start = seg.end_pose()
+    return CompositePath(tuple(segments))
+
+
+def multi_panel(slope: float) -> bool:
+    # one panel holds at most 12 nodes below the 256-panel cap
+    return _rule(slope)[0].size >= 16
+
+
+RANDOM_PATHS = [(seed, count) for seed in range(3) for count in range(1, 11)]
+
+
+@pytest.mark.parametrize("seed,count", RANDOM_PATHS)
+def test_random_composites_match_the_per_segment_loop(seed, count):
+    rng = np.random.default_rng(1000 * seed + count)
+    path = chained_path(rng, count)
+    n = int(rng.integers(1, 400))
+    stations = np.linspace(0.0, path.length, n + 1)
+    got = path.sample(stations)
+    expected, _ = reference_sample(path, stations)
+    assert_same_bits(got, expected)
+
+
+def test_the_random_cases_mix_grids_and_reach_several_panels():
+    """Without both, the cases above would not test grouping by grid."""
+    mixed = panels = 0
+    for seed, count in RANDOM_PATHS:
+        rng = np.random.default_rng(1000 * seed + count)
+        path = chained_path(rng, count)
+        n = int(rng.integers(1, 400))
+        _, slopes = reference_sample(path, np.linspace(0.0, path.length, n + 1))
+        mixed += len({id(_rule(slope)) for slope in slopes}) >= 2
+        panels += any(multi_panel(slope) for slope in slopes)
+    assert mixed >= 5
+    assert panels >= 5
+
+
+@pytest.fixture(scope="module")
+def mixed_path():
+    """A nearly straight segment on the 8-node panel, a strong spiral on a
+    multi-panel grid and a tight arc on one 10-node panel: three grids."""
+    first = ClothoidSegment(Pose(3.0, -2.0, 0.4), 1e-3, 1e-6, 20.0)
+    second = ClothoidSegment(first.end_pose(), 0.02, 4e-3, 60.0)
+    third = ClothoidSegment(second.end_pose(), -0.2, 0.0, 8.0)
+    path = CompositePath((first, second, third))
+    _, slopes = reference_sample(path, np.linspace(0.0, path.length, 200))
+    assert len({id(_rule(slope)) for slope in slopes}) == 3
+    assert multi_panel(slopes[1])
+    return path
+
+
+def test_unsorted_stations_at_joints_and_ends(mixed_path):
+    path = mixed_path
+    special = [*path._bounds, -5e-10, -1e-9, path.length + 5e-10, path.length + 1e-9]
+    rng = np.random.default_rng(5)
+    stations = rng.permutation(np.concatenate((special, rng.uniform(0.0, path.length, 300))))
+    assert_same_bits(path.sample(stations), reference_sample(path, stations)[0])
+
+
+def test_a_segment_with_one_station(mixed_path):
+    path = mixed_path
+    first, second, _ = (seg.length for seg in path.segments)
+    # one station on the middle segment, many on the others
+    stations = np.concatenate((np.linspace(0.0, first - 1.0, 50), [first + 0.5 * second],
+                               np.linspace(first + second + 0.1, path.length, 30)))
+    assert_same_bits(path.sample(stations), reference_sample(path, stations)[0])
+    # and a single station on the last segment only
+    assert_same_bits(path.sample([path.length - 1.0]), reference_sample(path, [path.length - 1.0])[0])
+
+
+def test_a_station_array_of_two_dimensions_keeps_its_shape(mixed_path):
+    stations = np.linspace(0.0, mixed_path.length, 60).reshape(3, 20)[::-1]
+    got = mixed_path.sample(stations)
+    assert got[0].shape == (3, 20)
+    assert_same_bits(got, reference_sample(mixed_path, stations)[0])
+
+
+@pytest.mark.parametrize("station", [0.0, 7.5, 20.0, 50.0, 87.9999])
+def test_a_0d_station_gives_0d_arrays(mixed_path, station):
+    got = mixed_path.sample(np.float64(station))
+    assert all(out.shape == () for out in got)
+    assert_same_bits(got, reference_sample(mixed_path, np.float64(station))[0])
+    assert_same_bits(mixed_path.sample(station), reference_sample(mixed_path, station)[0])
+
+
+def test_no_stations_gives_empty_arrays(mixed_path):
+    for stations in ([], np.empty(0), np.empty((0, 4))):
+        got = mixed_path.sample(stations)
+        assert all(out.shape == np.shape(stations) and out.dtype == float for out in got)
+
+
+@pytest.mark.parametrize("step", [0.3, 1.0, 7.0, 1000.0])
+def test_curvature_profile_matches_the_per_segment_loop(mixed_path, step):
+    got = curvature_profile(mixed_path, step)
+    expected = reference_curvature_profile(mixed_path, step)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_curvature_profiles_match(seed):
+    path = chained_path(np.random.default_rng(seed), 6)
+    got = curvature_profile(path, 0.5)
+    assert got.tobytes() == reference_curvature_profile(path, 0.5).tobytes()

@@ -95,6 +95,27 @@ def test_overflowing_heading_residual_is_still_rejected():
             )
 
 
+NAN_RESIDUAL = dict(s=[0.0, 1.0], x=[0.0, 1.0], y=[0.0, 0.0], theta=[-1e308, 1e308], kappa=[1e308, 1e308])
+
+
+def test_a_lone_nan_heading_residual_is_rejected():
+    """The only step's increment and curvature integral both overflow, so its
+    residual is inf - inf = nan; no step may pass unless it is within tolerance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CorridorError, match="^corridor heading increments inconsistent with curvature$"):
+            Corridor(**NAN_RESIDUAL)
+
+
+def test_a_window_cut_with_a_nan_heading_residual_is_rejected():
+    """window() checks its two cut steps; a nan residual there fails too."""
+    arrays = [np.array(NAN_RESIDUAL[name], dtype=float) for name in ("s", "x", "y", "theta", "kappa")]
+    corridor = Corridor._derived(3.7, *arrays)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, length in ((0.0, 0.5), (0.25, 0.5), (0.0, 1.0)):
+            with pytest.raises(CorridorError, match="^corridor heading increments inconsistent with curvature$"):
+                corridor.window(start, length)
+
+
 def test_non_increasing_arc_length_is_still_rejected():
     for s in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
         with pytest.raises(CorridorError, match="^corridor arc length must be strictly increasing$"):
