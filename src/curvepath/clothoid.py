@@ -8,9 +8,9 @@ through circular arcs to strong spirals (no special casing near zero
 curvature rate is required). Two kernels share one grid: a scalar
 pure-Python loop for single points and for every step of a fit, where
 numpy's per-call overhead would dominate, and an array kernel for sampling
-many stations at once. A composite path samples all its stations together:
-each segment keeps the grid its own stations size, and the stations of the
-segments that share a grid go through one array-kernel call.
+many stations at once, which only CompositePath.sample calls (a segment
+samples as a one-segment path): each segment keeps the grid its own
+stations size, and the segments that share a grid share one call.
 
 The grid is sized to the phase slope |a| + |b| of (a/2) t^2 + b t + c on
 [0, 1]: min(256, ceil((slope + 1) / 4)) equal panels, so a panel sees a
@@ -172,24 +172,10 @@ class ClothoidSegment:
     def curvature_at(self, s):
         return self.kappa0 + self.kappa_rate * np.asarray(s, dtype=float)
 
-    def heading_at(self, s):
-        """Unwrapped heading at arc length s (start heading plus integrated curvature)."""
-        s = np.asarray(s, dtype=float)
-        return self.start.theta + self.kappa0 * s + 0.5 * self.kappa_rate * s**2
-
     def sample(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions and unwrapped headings at arc lengths s (vectorised)."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < -1e-9) or np.any(s > self.length + 1e-9):
-            raise ValueError(f"arc length outside [0, {self.length}]")
-        a = self.kappa_rate * s**2
-        b = self.kappa0 * s
-        x0, y0 = _phase_integrals(a, b, self.start.theta)
-        return (
-            self.start.x + s * x0,
-            self.start.y + s * y0,
-            self.heading_at(s),
-        )
+        """Positions and unwrapped headings at arc lengths s: the sample of
+        the one-segment CompositePath."""
+        return CompositePath((self,)).sample(s)
 
     def pose_at(self, s: float) -> Pose:
         """sample() at one arc length, through the scalar kernel."""
@@ -335,42 +321,42 @@ class CompositePath:
                          for b, seg in zip(self._bounds, self.segments)]).T
 
     def _locate_many(self, stations: np.ndarray):
-        """locate() for a flat array of stations, clamped instead of checked:
-        each station's segment index, local arc length and segment column.
+        """locate() for a flat array of stations, whose 1e-9 range rule
+        here also rejects nan: each station's segment index, local arc
+        length and segment column.
         The start stations are enough to search: a station at or past the
         path's end falls on the last segment with or without its end."""
+        if stations.size and not (stations.min() >= -1e-9 and stations.max() <= self.length + 1e-9):
+            raise ValueError(f"arc length outside [0, {self.length}]")
         idx = np.clip(np.searchsorted(self._table[0], stations, side="right") - 1, 0, len(self.segments) - 1)
         columns = self._table.take(idx, axis=1)
         return idx, np.clip(stations - columns[0], 0.0, columns[1]), columns
 
     def sample(self, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions and headings at the given path arc lengths.
+        """Positions and unwrapped headings at path arc lengths of any shape.
 
-        Bit for bit what each segment's own sample() gives for its stations:
-        every segment keeps the grid its own stations size, and the stations
-        of all segments that share a grid go through one kernel call.
+        Every segment keeps the grid its own stations size, so no station
+        depends on another segment's stations; the segments that share a
+        grid share one kernel call.
         """
         stations = np.asarray(stations, dtype=float)
         idx, s, (_, _, kappa0, kappa_rate, x, y, theta) = self._locate_many(stations.ravel())
         s2 = s**2
         a = kappa_rate * s2
         b = kappa0 * s
-        # each segment's largest phase slope picks its grid, as in its own
-        # sample(); _grid is cached, so segments on one grid share one object
+        # each segment's largest phase slope picks its grid; _grid is
+        # cached, so segments on one grid share one object
         top = np.full(len(self.segments), -1.0)  # -1: no station on the segment, so no group
         np.maximum.at(top, idx, np.abs(a) + np.abs(b))
         groups = {}
         group_of = [-1 if slope < 0 else groups.setdefault(id(_rule(slope)), len(groups))
                     for slope in top.tolist()]
-        if len(groups) == 1:
-            x0, y0 = _phase_integrals(a, b, theta)
-        else:
-            x0 = np.empty_like(s)
-            y0 = np.empty_like(s)
-            station_group = np.array(group_of)[idx]
-            for group in range(len(groups)):
-                mask = station_group == group
-                x0[mask], y0[mask] = _phase_integrals(a[mask], b[mask], theta[mask])
+        x0 = np.empty_like(s)
+        y0 = np.empty_like(s)
+        station_group = np.array(group_of)[idx] if len(groups) > 1 else None
+        for group in range(len(groups)):
+            rows = slice(None) if station_group is None else station_group == group
+            x0[rows], y0[rows] = _phase_integrals(a[rows], b[rows], theta[rows])
         shape = stations.shape
         return (
             (x + s * x0).reshape(shape),

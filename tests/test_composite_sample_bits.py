@@ -1,6 +1,8 @@
 """CompositePath.sample and curvature_profile, bit for bit against the
 per-segment loop they replace: one ClothoidSegment.sample call per segment
-that holds stations, each on the grid its own stations size."""
+that holds stations, each on the grid its own stations size. A segment's
+own sample, a one-segment CompositePath, is pinned against the formula it
+replaced, and every station lookup follows one range rule."""
 
 import math
 
@@ -97,6 +99,25 @@ def test_random_composites_match_the_per_segment_loop(seed, count):
     got = path.sample(stations)
     expected, _ = reference_sample(path, stations)
     assert_same_bits(got, expected)
+    # each segment on its own, from 0 to its length, and at one 0-d station
+    for seg in path.segments:
+        local = np.linspace(0.0, seg.length, n + 1)
+        assert_same_bits(seg.sample(local), reference_segment_sample(seg, local))
+        third = np.float64(seg.length / 3.0)
+        assert_same_bits([np.asarray(out) for out in seg.sample(third)], reference_segment_sample(seg, third))
+
+
+def segment_slope(seg: ClothoidSegment) -> float:
+    """The largest phase slope of a segment's stations, reached at its end."""
+    return abs(seg.kappa_rate) * seg.length**2 + abs(seg.kappa0) * seg.length
+
+
+def test_the_random_segments_reach_one_panel_and_several():
+    """Without both, the segment cases above would pin only one kind of grid."""
+    slopes = [segment_slope(seg) for seed, count in RANDOM_PATHS
+              for seg in chained_path(np.random.default_rng(1000 * seed + count), count).segments]
+    assert sum(not multi_panel(slope) for slope in slopes) >= 5
+    assert sum(multi_panel(slope) for slope in slopes) >= 5
 
 
 def test_the_random_cases_mix_grids_and_reach_several_panels():
@@ -180,3 +201,40 @@ def test_random_curvature_profiles_match(seed):
     path = chained_path(np.random.default_rng(seed), 6)
     got = curvature_profile(path, 0.5)
     assert got.tobytes() == reference_curvature_profile(path, 0.5).tobytes()
+
+
+@pytest.fixture(scope="module")
+def ten_metre_path():
+    return CompositePath((ClothoidSegment(Pose(1.0, 2.0, 0.3), 0.01, 1e-4, 10.0),))
+
+
+def test_a_0d_segment_station_gives_0d_arrays(ten_metre_path):
+    for station in (4.0, np.float64(4.0), np.array(4.0)):
+        got = ten_metre_path.segments[0].sample(station)
+        assert all(isinstance(out, np.ndarray) and out.shape == () for out in got)
+
+
+def test_a_segment_with_no_stations_gives_empty_arrays(ten_metre_path):
+    for stations in ([], np.empty(0), np.empty((0, 4))):
+        got = ten_metre_path.segments[0].sample(stations)
+        assert len(got) == 3
+        assert all(out.shape == np.shape(stations) and out.dtype == float for out in got)
+
+
+OUTSIDE = [[-5.0, 50.0], [-5.0], [50.0], [-2e-9], [10.0 + 2e-9], [math.nan], [0.0, math.nan, 5.0],
+           np.float64(math.nan), np.array([[0.0, 1.0], [2.0, 11.0]])]
+
+
+@pytest.mark.parametrize("stations", OUTSIDE, ids=["both-ends", "below", "above", "2e-9-below", "2e-9-above",
+                                                   "nan", "nan-among", "0d-nan", "2d-above"])
+def test_a_station_outside_the_path_raises(ten_metre_path, stations):
+    with pytest.raises(ValueError, match=r"arc length outside \[0, 10.0\]"):
+        ten_metre_path.sample(stations)
+    with pytest.raises(ValueError, match=r"arc length outside \[0, 10.0\]"):
+        ten_metre_path.segments[0].sample(stations)
+
+
+def test_a_station_outside_a_three_segment_path_raises(mixed_path):
+    for stations in ([0.0, mixed_path.length + 1.0], [-1.0, 30.0], [30.0, math.nan]):
+        with pytest.raises(ValueError, match="arc length outside"):
+            mixed_path.sample(stations)
