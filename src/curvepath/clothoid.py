@@ -179,11 +179,12 @@ class ClothoidSegment:
 
     def pose_at(self, s: float) -> Pose:
         """sample() at one arc length, through the scalar kernel."""
-        if s == 0.0:
-            return self.start
         s = float(s)
-        if s < -1e-9 or s > self.length + 1e-9:
+        if not -1e-9 <= s <= self.length + 1e-9:
             raise ValueError(f"arc length outside [0, {self.length}]")
+        if s <= 0.0:
+            return self.start
+        s = s if s < self.length else self.length  # no min(): this runs per followed station
         s2 = s * s
         x0, y0 = _scalar_phase_integrals(self.kappa_rate * s2, self.kappa0 * s, self.start.theta)
         return Pose(
@@ -297,21 +298,16 @@ class CompositePath:
     def length(self) -> float:
         return self._bounds[-1]
 
-    def locate(self, s: float) -> tuple[int, float]:
-        if s < -1e-9 or s > self.length + 1e-9:
+    def locate(self, s: float) -> tuple[ClothoidSegment, float]:
+        if not -1e-9 <= s <= self.length + 1e-9:
             raise ValueError(f"arc length {s} outside [0, {self.length}]")
-        i = bisect.bisect_right(self._bounds, s) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return i, min(max(s - self._bounds[i], 0.0), self.segments[i].length)
+        i = min(max(bisect.bisect_right(self._bounds, s) - 1, 0), len(self.segments) - 1)
+        seg = self.segments[i]
+        return seg, min(max(s - self._bounds[i], 0.0), seg.length)
 
     def pose_at(self, s: float) -> Pose:
-        i, local = self.locate(s)
-        return self.segments[i].pose_at(local)
-
-    def curvature_at(self, s: float) -> float:
-        i, local = self.locate(s)
-        seg = self.segments[i]
-        return seg.kappa0 + seg.kappa_rate * local
+        seg, local = self.locate(s)
+        return seg.pose_at(local)
 
     @functools.cached_property
     def _table(self) -> np.ndarray:
@@ -321,8 +317,8 @@ class CompositePath:
                          for b, seg in zip(self._bounds, self.segments)]).T
 
     def _locate_many(self, stations: np.ndarray):
-        """locate() for a flat array of stations, whose 1e-9 range rule
-        here also rejects nan: each station's segment index, local arc
+        """locate() for a flat array of stations, with the same 1e-9 range
+        rule, which rejects nan: each station's segment index, local arc
         length and segment column.
         The start stations are enough to search: a station at or past the
         path's end falls on the last segment with or without its end."""

@@ -810,15 +810,18 @@ def run_replay(
         else:
             path_id += 1
             active, active_corr, path_s = planned, corr, 0.0
+            segment, local = planned.path.segments[0], 0.0
             replans.append(ReplanRecord(cycle=lo, path=planned, curvature_input=kbar, offsets=node_offsets))
         block = slice(lo, min(lo + retrigger, n))
         path_ids[block] = path_id
         for i in range(lo, block.stop):
             xs[i], ys[i], thetas[i] = ego.x, ego.y, ego.theta
             if active is not None:
-                kappas[i] = active.path.curvature_at(path_s)
+                # the curvature at the station the previous step reached
+                kappas[i] = segment.kappa0 + segment.kappa_rate * local
                 path_s = min(path_s + float(log.speed[i]) * log.sample_time, active.path.length)
-                ego = from_planning_frame(active.path.pose_at(path_s), active.frame)
+                segment, local = active.path.locate(path_s)
+                ego = from_planning_frame(segment.pose_at(local), active.frame)
         if active is not None:
             _, offsets[block] = active_corr.project_many(xs[block], ys[block])
     if path_id < 0:

@@ -238,3 +238,18 @@ def test_a_station_outside_a_three_segment_path_raises(mixed_path):
     for stations in ([0.0, mixed_path.length + 1.0], [-1.0, 30.0], [30.0, math.nan]):
         with pytest.raises(ValueError, match="arc length outside"):
             mixed_path.sample(stations)
+
+
+@pytest.mark.parametrize("lookup", [lambda path: path.locate(math.nan), lambda path: path.pose_at(math.nan),
+                                    lambda path: path.segments[0].pose_at(math.nan)],
+                         ids=["path-locate", "path-pose", "segment-pose"])
+def test_a_scalar_lookup_rejects_a_nan_station(ten_metre_path, lookup):
+    with pytest.raises(ValueError, match=r"arc length (nan )?outside \[0, 10.0\]"):
+        lookup(ten_metre_path)
+
+
+@pytest.mark.parametrize("station, end", [(10.0 + 5e-10, 10.0), (-5e-10, 0.0)], ids=["past-the-end", "before-the-start"])
+def test_a_station_within_the_tolerance_outside_is_clamped_to_the_end(ten_metre_path, station, end):
+    seg = ten_metre_path.segments[0]
+    assert seg.pose_at(station) == seg.pose_at(end)
+    assert ten_metre_path.locate(station) == (seg, end)

@@ -1,0 +1,65 @@
+"""run_replay's follow loop, bit for bit against the loop it replaces: per
+followed station a curvature lookup (a bisect over the segment bounds, then
+the segment's curvature formula) and then CompositePath.pose_at, each
+locating the station again."""
+
+import bisect
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from curvepath.planner import GainMatrix
+from curvepath.road import from_planning_frame
+from curvepath.simulate import run_replay
+
+from conftest import P_TRUE
+
+BAD_ROWS = slice(60, 64)  # a replan row at retrigger 1, 7 and 30 each
+
+
+def reference_curvature_at(path, s: float) -> float:
+    bounds = list(itertools.accumulate((seg.length for seg in path.segments), initial=0.0))
+    i = min(max(bisect.bisect_right(bounds, s) - 1, 0), len(path.segments) - 1)
+    seg = path.segments[i]
+    return seg.kappa0 + seg.kappa_rate * min(max(s - bounds[i], 0.0), seg.length)
+
+
+def reference_follow(log, replans):
+    """x, y, theta and kappa of the followed poses, given the replay's plans."""
+    plans = {rec.cycle: rec.path for rec in replans}
+    n = len(log)
+    xs, ys, thetas, kappas = np.empty(n), np.empty(n), np.empty(n), np.full(n, np.nan)
+    ego = log.pose(0)
+    active, path_s = None, 0.0
+    for i in range(n):
+        if plans.get(i) is not None:
+            active, path_s = plans[i], 0.0
+            assert active.frame.origin == ego  # each plan starts from the followed pose
+        xs[i], ys[i], thetas[i] = ego.x, ego.y, ego.theta
+        if active is not None:
+            kappas[i] = reference_curvature_at(active.path, path_s)
+            path_s = min(path_s + float(log.speed[i]) * log.sample_time, active.path.length)
+            ego = from_planning_frame(active.path.pose_at(path_s), active.frame)
+    return xs, ys, thetas, kappas
+
+
+@pytest.fixture(scope="module")
+def gapped_log(clean_driver_log):
+    """The clean log with a few rows that give no corridor; its end also
+    lacks the preview estimation needs."""
+    c2 = clean_driver_log.c2.copy()
+    c2[BAD_ROWS] = 1.0
+    return dataclasses.replace(clean_driver_log, c2=c2)
+
+
+@pytest.mark.parametrize("retrigger", [1, 7, 30])
+@pytest.mark.parametrize("mode", ["validation", "estimation"])
+def test_followed_poses_and_curvature_match_the_two_lookup_loop(gapped_log, mode, retrigger):
+    trace = run_replay(gapped_log, GainMatrix(P_TRUE), retrigger=retrigger, mode=mode)
+    first_plan = min(rec.cycle for rec in trace.replans if not rec.gap)
+    assert any(rec.gap and rec.cycle > first_plan for rec in trace.replans)  # a plan followed across a gap
+    want = reference_follow(gapped_log, trace.replans)
+    for got, expected in zip((trace.x, trace.y, trace.theta, trace.kappa), want):
+        assert got.tobytes() == expected.tobytes()
