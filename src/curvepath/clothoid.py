@@ -301,9 +301,12 @@ class CompositePath:
     def locate(self, s: float) -> tuple[ClothoidSegment, float]:
         if not -1e-9 <= s <= self.length + 1e-9:
             raise ValueError(f"arc length {s} outside [0, {self.length}]")
-        i = min(max(bisect.bisect_right(self._bounds, s) - 1, 0), len(self.segments) - 1)
+        # no min(max()): this runs per followed station
+        i = bisect.bisect_right(self._bounds, s) - 1
+        i = 0 if i < 0 else i if i < len(self.segments) else len(self.segments) - 1
         seg = self.segments[i]
-        return seg, min(max(s - self._bounds[i], 0.0), seg.length)
+        local = s - self._bounds[i]
+        return seg, 0.0 if local < 0.0 else local if local <= seg.length else seg.length
 
     def pose_at(self, s: float) -> Pose:
         seg, local = self.locate(s)
@@ -374,13 +377,3 @@ def fit_composite(node_poses) -> CompositePath:
             exc.args = (f"segment {i}: {exc}", *exc.args[1:])
             raise
     return CompositePath(segments=tuple(segments))
-
-
-def curvature_profile(path: CompositePath, step: float) -> np.ndarray:
-    """Sample kappa(s) over the whole path; returns an (n, 2) array of (s, kappa)."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    n = max(1, int(math.ceil(path.length / step)))
-    stations = np.linspace(0.0, path.length, n + 1)
-    _, local, columns = path._locate_many(stations)
-    return np.column_stack((stations, columns[2] + columns[3] * local))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .road import Corridor
-from .simulate import SimTrace, read_csv, write_csv, write_json
+from .simulate import SimTrace, write_csv, write_json
 
 DEFAULT_KAPPA_THRESHOLD = 0.001
 DEFAULT_MIN_CURVE_LENGTH_M = 50.0
@@ -260,14 +260,6 @@ def _write_report(header: str, fields, rows, csv_path, json_path) -> None:
         write_json(json_path, entries)
 
 
-def _read_report(csv_path, header: str, kind: str) -> list[dict]:
-    names = header.split(",")
-    return read_csv(
-        csv_path, header, f"{kind} report",
-        lambda f: {names[0]: f[0], **{n: float(v) for n, v in zip(names[1:], f[1:])}},
-    )
-
-
 def write_safety_report(rows, csv_path, json_path=None) -> None:
     """rows: iterable of (driver_id, SafetyReport)."""
     _write_report(SAFETY_HEADER, lambda r: (100.0 * r.border_violation_ratio, r.min_border_distance),
@@ -278,11 +270,3 @@ def write_performance_report(rows, csv_path, json_path=None) -> None:
     """rows: iterable of (driver_id, PerformanceReport)."""
     _write_report(PERFORMANCE_HEADER, lambda r: (r.avg_distance, r.max_distance, 100.0 * r.side_correctness),
                   rows, csv_path, json_path)
-
-
-def read_safety_report(csv_path) -> list[dict]:
-    return _read_report(csv_path, SAFETY_HEADER, "safety")
-
-
-def read_performance_report(csv_path) -> list[dict]:
-    return _read_report(csv_path, PERFORMANCE_HEADER, "performance")

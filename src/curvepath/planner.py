@@ -68,10 +68,6 @@ class GainMatrix:
         return cls(np.zeros((3, 3)))
 
     @classmethod
-    def diagonal(cls, g_near: float, g_mid: float, g_far: float) -> "GainMatrix":
-        return cls(np.diag([g_near, g_mid, g_far]))
-
-    @classmethod
     def from_row_major(cls, values) -> "GainMatrix":
         return cls(np.asarray(values, dtype=float).reshape(3, 3))
 

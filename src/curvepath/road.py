@@ -72,22 +72,6 @@ class LanePolynomial:
         return (self.c0, self.c1, self.c2, self.c3)
 
 
-def eval_lane_polynomial(poly: LanePolynomial, x):
-    """Lateral midline position y(x). x may be a scalar or array in [0, preview]."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or np.any(xs > poly.preview_length):
-        raise ValueError(
-            f"x outside preview range [0, {poly.preview_length}]"
-        )
-    y = _poly_value(poly, xs)
-    return float(y) if np.isscalar(x) else y
-
-
-def _poly_value(poly: LanePolynomial, xs: np.ndarray):
-    """Lateral midline position y(x), without a range check."""
-    return poly.c0 + poly.c1 * xs + 0.5 * poly.c2 * xs**2 + (1.0 / 6.0) * poly.c3 * xs**3
-
-
 def offset_point(nominal: Pose, delta: float) -> Pose:
     """Shift a midline pose laterally by delta (positive moves left of the midline)."""
     if not math.isfinite(delta):
@@ -277,9 +261,6 @@ class Corridor:
         xs, ys, thetas = (np.interp(stations, self.s, v).tolist() for v in (self.x, self.y, self.theta))
         return tuple(map(Pose, xs, ys, thetas))
 
-    def pose_at(self, station: float) -> Pose:
-        return self.poses_at((station,))[0]
-
     def transformed(self, anchor: Pose) -> "Corridor":
         """Map a corridor expressed in a local frame into the frame where the
         local origin sits at `anchor`.
@@ -388,7 +369,7 @@ def corridor_from_polynomial(
         raise ValueError("step must be positive")
     xs, xs2, xs3, dx = _sample_grid(poly.preview_length, step)
     c0, c1, c2, c3 = poly.coefficients
-    # the expressions and operand order of _poly_value and of its derivatives
+    # y(x) as LanePolynomial defines it and its first two derivatives
     ys = c0 + c1 * xs + 0.5 * c2 * xs2 + (1.0 / 6.0) * c3 * xs3
     dy = c1 + c2 * xs + 0.5 * c3 * xs2
     kappa = (c2 + c3 * xs) / (1.0 + dy**2) ** 1.5

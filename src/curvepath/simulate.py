@@ -154,6 +154,11 @@ def json_field(obj, key: str, kind, default=None):
     return json_value(obj.get(key, default), kind, key)
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"column {name} contains non-finite values")
+
+
 @dataclass(eq=False)
 class DriveLog:
     """Columnar drive log: one row per perception cycle."""
@@ -186,8 +191,7 @@ class DriveLog:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"column {name} has shape {arr.shape}, expected ({n},)")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"column {name} contains non-finite values")
+            _require_finite(name, arr)
             setattr(self, name, arr)
         if not self.sample_time > 0:
             raise ValueError("sample_time must be positive")
@@ -225,6 +229,8 @@ def load_drive_log(path) -> DriveLog:
     if not rows:
         raise LogFormatError(f"{path}: empty log (no data rows)")
     data = np.asarray(rows, dtype=float)
+    # before the median step, which would call a nan timestamp non-increasing
+    _require_finite("t", data[:, 1])
     if data.shape[0] >= 2:
         sample_time = float(round(float(np.median(np.diff(data[:, 1]))), 9))
         if not sample_time > 0:

@@ -1,10 +1,14 @@
-"""Constructors for probe drive logs used by calibration tests."""
+"""Constructors for probe drive logs used by calibration tests, and small
+readers that tests share."""
+
+import math
 
 import numpy as np
 
+from curvepath.metrics import PERFORMANCE_HEADER, SAFETY_HEADER
 from curvepath.planner import NodePointParams, OffsetVector, PlanningFrame, plan_path_from_offsets
 from curvepath.road import corridor_from_polynomial, from_planning_frame
-from curvepath.simulate import DriveLog, fit_lane_polynomial, offset_pose_on
+from curvepath.simulate import DriveLog, fit_lane_polynomial, offset_pose_on, read_csv
 
 ZIGZAG_PATTERNS = (
     (0.45, -0.40, 0.50),
@@ -70,3 +74,24 @@ def build_chained_node_log(
         preview_length=preview,
         **{k: np.asarray(v) for k, v in rows.items()},
     )
+
+
+def read_report(csv_path, kind: str) -> list[dict]:
+    """A "safety" or "performance" report CSV, one dict per driver, read
+    through read_csv with the report's header."""
+    header = {"safety": SAFETY_HEADER, "performance": PERFORMANCE_HEADER}[kind]
+    names = header.split(",")
+    return read_csv(
+        csv_path, header, f"{kind} report",
+        lambda f: {names[0]: f[0], **{n: float(v) for n, v in zip(names[1:], f[1:])}},
+    )
+
+
+def curvature_profile(path, step: float) -> np.ndarray:
+    """(s, kappa) rows at every `step` over a CompositePath, each curvature
+    taken as replay's follow loop takes it: locate, then the segment's
+    kappa0 + kappa_rate * local."""
+    n = max(1, int(math.ceil(path.length / step)))
+    stations = np.linspace(0.0, path.length, n + 1)
+    kappas = [seg.kappa0 + seg.kappa_rate * local for seg, local in map(path.locate, stations.tolist())]
+    return np.column_stack((stations, kappas))

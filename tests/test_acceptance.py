@@ -160,7 +160,7 @@ def test_05_straight_road_identity():
     rng = np.random.default_rng(2)
     gain_cases = [
         GainMatrix.zeros(),
-        GainMatrix.diagonal(1000.0, 1000.0, 1000.0),
+        GainMatrix(np.diag([1000.0, 1000.0, 1000.0])),
         GainMatrix(rng.uniform(-500.0, 500.0, (3, 3))),
     ]
     worst = 0.0
@@ -187,7 +187,7 @@ def test_06_curve_cutting_case_study(tmp_path):
     majority, which is how the sawtooth of a cyclically replanning planner
     reads once plotted), while the lead-in before the curve shows the early
     positive steering; offsets mirror when the road is mirrored."""
-    gains = GainMatrix.diagonal(80.0, 80.0, 80.0)
+    gains = GainMatrix(np.diag([80.0, 80.0, 80.0]))
 
     def run(kappa_sign):
         scenario = s_curve_scenario(kappa=kappa_sign * 0.0045)

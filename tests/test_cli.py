@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from curvepath.cli import main
-from curvepath.metrics import read_performance_report, read_safety_report
 from curvepath.planner import GainMatrix
 from curvepath.simulate import (
     DriveLog,
@@ -16,6 +15,7 @@ from curvepath.simulate import (
 )
 
 from conftest import P_TRUE
+from helpers import read_report
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +133,8 @@ class TestEvaluate:
         out = tmp_path / "reports"
         code = main(["evaluate", "--cohort", str(cohort_dir / "cohort.json"), "--out-dir", str(out)])
         assert code == 0
-        safety = read_safety_report(out / "safety.csv")
-        performance = read_performance_report(out / "performance.csv")
+        safety = read_report(out / "safety.csv", "safety")
+        performance = read_report(out / "performance.csv", "performance")
         assert [row["driver_id"] for row in safety] == ["driver_01", "driver_02"]
         assert len(performance) == 2
         for row in performance:

@@ -9,13 +9,13 @@ from curvepath.clothoid import (
     CompositePath,
     DegenerateFitError,
     FitError,
-    curvature_profile,
     fit_composite,
     fit_g1,
 )
 from curvepath.road import Pose, wrap_angle
 
 from _oracles import integrate_pose
+from helpers import curvature_profile
 
 CIRCLE_END = Pose(100.0 * math.sin(0.5), 100.0 * (1.0 - math.cos(0.5)), 0.5)
 

@@ -1,4 +1,4 @@
-"""CompositePath.sample and curvature_profile, bit for bit against the
+"""CompositePath.sample and the curvature lookups, bit for bit against the
 per-segment loop they replace: one ClothoidSegment.sample call per segment
 that holds stations, each on the grid its own stations size. A segment's
 own sample, a one-segment CompositePath, is pinned against the formula it
@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from curvepath.clothoid import ClothoidSegment, CompositePath, _rule, curvature_profile
+from curvepath.clothoid import ClothoidSegment, CompositePath, _rule
 from curvepath.road import Pose
+
+from helpers import curvature_profile
 
 
 def reference_phase_integrals(a, b, c: float):
@@ -188,19 +190,27 @@ def test_no_stations_gives_empty_arrays(mixed_path):
         assert all(out.shape == np.shape(stations) and out.dtype == float for out in got)
 
 
+def many_curvature_profile(path: CompositePath, step: float) -> np.ndarray:
+    """curvature_profile through _locate_many, the lookup sample() makes."""
+    stations = curvature_profile(path, step)[:, 0]
+    _, local, columns = path._locate_many(stations)
+    return np.column_stack((stations, columns[2] + columns[3] * local))
+
+
 @pytest.mark.parametrize("step", [0.3, 1.0, 7.0, 1000.0])
 def test_curvature_profile_matches_the_per_segment_loop(mixed_path, step):
-    got = curvature_profile(mixed_path, step)
     expected = reference_curvature_profile(mixed_path, step)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    for got in (curvature_profile(mixed_path, step), many_curvature_profile(mixed_path, step)):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_random_curvature_profiles_match(seed):
     path = chained_path(np.random.default_rng(seed), 6)
-    got = curvature_profile(path, 0.5)
-    assert got.tobytes() == reference_curvature_profile(path, 0.5).tobytes()
+    expected = reference_curvature_profile(path, 0.5).tobytes()
+    assert curvature_profile(path, 0.5).tobytes() == expected
+    assert many_curvature_profile(path, 0.5).tobytes() == expected
 
 
 @pytest.fixture(scope="module")
@@ -248,8 +258,10 @@ def test_a_scalar_lookup_rejects_a_nan_station(ten_metre_path, lookup):
         lookup(ten_metre_path)
 
 
-@pytest.mark.parametrize("station, end", [(10.0 + 5e-10, 10.0), (-5e-10, 0.0)], ids=["past-the-end", "before-the-start"])
+@pytest.mark.parametrize("station, end", [(10.0 + 5e-10, 10.0), (-5e-10, 0.0), (10.0, 10.0), (0.0, 0.0), (-0.0, -0.0)],
+                         ids=["past-the-end", "before-the-start", "at-the-end", "at-the-start", "negative-zero"])
 def test_a_station_within_the_tolerance_outside_is_clamped_to_the_end(ten_metre_path, station, end):
     seg = ten_metre_path.segments[0]
     assert seg.pose_at(station) == seg.pose_at(end)
     assert ten_metre_path.locate(station) == (seg, end)
+    assert ten_metre_path.locate(station)[1].hex() == end.hex()

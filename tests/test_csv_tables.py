@@ -9,13 +9,13 @@ from curvepath.metrics import (
     detect_curve_segments,
     emit_case_study,
     project_onto,
-    read_performance_report,
     write_performance_report,
 )
 from curvepath.planner import GainMatrix
 from curvepath.simulate import TRACE_HEADER, LogFormatError, SimTrace, run_replay
 
 from conftest import P_TRUE
+from helpers import read_report
 
 
 def read_table(path):
@@ -103,12 +103,12 @@ def test_report_row_errors_name_the_line(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
 
     path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n", encoding="utf-8")
-    assert [row["driver_id"] for row in read_performance_report(path)] == ["d1", "d2"]
+    assert [row["driver_id"] for row in read_report(path, "performance")] == ["d1", "d2"]
 
     path.write_text("\n".join([lines[0], lines[1], "d2,0.2,0.7"]) + "\n", encoding="utf-8")
     with pytest.raises(LogFormatError, match=r"p\.csv: line 3: expected 4 columns, got 3"):
-        read_performance_report(path)
+        read_report(path, "performance")
 
     path.write_text("\n".join([lines[0], "d1,0.2,x,75.0"]) + "\n", encoding="utf-8")
     with pytest.raises(LogFormatError, match="line 2"):
-        read_performance_report(path)
+        read_report(path, "performance")

@@ -8,8 +8,6 @@ from curvepath.metrics import (
     emit_case_study,
     performance_metrics,
     project_onto,
-    read_performance_report,
-    read_safety_report,
     safety_metrics,
     write_performance_report,
     write_safety_report,
@@ -26,6 +24,7 @@ from curvepath.simulate import (
 )
 
 from conftest import P_TRUE
+from helpers import read_report
 
 
 def synthetic_trace(stations, offsets, corridor, cycle0=0):
@@ -139,7 +138,7 @@ class TestSafetyMetrics:
         report = safety_metrics(trace, straight_road, VehicleSpec(width=1.8), [whole_route_segment])
         assert report.min_border_distance == pytest.approx(0.458, abs=1e-9)
         write_safety_report([("driver_1", report)], tmp_path / "safety.csv")
-        rows = read_safety_report(tmp_path / "safety.csv")
+        rows = read_report(tmp_path / "safety.csv", "safety")
         assert rows[0]["border_violation_pct"] == 0.0
         assert rows[0]["min_border_distance_m"] == pytest.approx(0.458)
 
@@ -247,8 +246,8 @@ class TestReportRoundTrip:
         p_rep = performance_metrics(trace, human, [whole_route_segment])
         write_safety_report([("d1", s_rep)], tmp_path / "s.csv", tmp_path / "s.json")
         write_performance_report([("d1", p_rep)], tmp_path / "p.csv", tmp_path / "p.json")
-        s_rows = read_safety_report(tmp_path / "s.csv")
-        p_rows = read_performance_report(tmp_path / "p.csv")
+        s_rows = read_report(tmp_path / "s.csv", "safety")
+        p_rows = read_report(tmp_path / "p.csv", "performance")
         assert s_rows[0]["border_violation_pct"] == 100.0 * s_rep.border_violation_ratio
         assert s_rows[0]["min_border_distance_m"] == s_rep.min_border_distance
         assert p_rows[0]["avg_distance_m"] == p_rep.avg_distance
@@ -266,7 +265,7 @@ class TestReportFormatReference:
             avg_distance=0.0204, max_distance=0.0891, side_correctness=0.6656
         )
         write_performance_report([("driver_1", report)], tmp_path / "p.csv")
-        row = read_performance_report(tmp_path / "p.csv")[0]
+        row = read_report(tmp_path / "p.csv", "performance")[0]
         assert row["avg_distance_m"] == pytest.approx(0.0204)
         assert row["side_correctness_pct"] == pytest.approx(66.56)
 

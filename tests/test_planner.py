@@ -94,7 +94,7 @@ class TestComputeOffsets:
 
     def test_diagonal_scaling(self):
         offsets = compute_offsets(
-            GainMatrix.diagonal(20, 20, 20), CurvatureInput(0.01, 0.01, 0.01)
+            GainMatrix(np.diag([20, 20, 20])), CurvatureInput(0.01, 0.01, 0.01)
         )
         assert offsets.as_array() == pytest.approx(np.full(3, 0.2))
 
@@ -124,25 +124,25 @@ class TestPlanPath:
     def test_straight_road_stays_on_midline(self):
         corr = straight_corridor()
         frame = PlanningFrame(origin=Pose(0.0, 0.0, 0.0))
-        planned = plan_path(corr, GainMatrix.diagonal(40, 40, 40), NodePointParams(), frame)
+        planned = plan_path(corr, GainMatrix(np.diag([40, 40, 40])), NodePointParams(), frame)
         stations = np.linspace(0.0, planned.path.length, 100)
         _, ys, _ = planned.path.sample(stations)
         assert np.max(np.abs(ys)) < 1e-6
 
     def test_zero_gains_interpolate_midline(self):
         corr = arc_corridor(0.004)
-        frame = PlanningFrame(origin=corr.pose_at(0.0))
+        frame = PlanningFrame(origin=corr.poses_at((0.0,))[0])
         planned = plan_path(corr, GainMatrix.zeros(), NodePointParams(), frame)
         for pose, d in zip(planned.node_poses[1:], NodePointParams().distances):
             node_global = from_planning_frame(pose, frame)
-            nominal = corr.pose_at(d)
+            nominal = corr.poses_at((d,))[0]
             gap = math.hypot(node_global.x - nominal.x, node_global.y - nominal.y)
             assert gap < 1e-9
 
     def test_constant_left_curve_offsets_inward(self):
         corr = arc_corridor(0.005)
-        frame = PlanningFrame(origin=corr.pose_at(0.0))
-        planned = plan_path(corr, GainMatrix.diagonal(20, 20, 20), NodePointParams(), frame)
+        frame = PlanningFrame(origin=corr.poses_at((0.0,))[0])
+        planned = plan_path(corr, GainMatrix(np.diag([20, 20, 20])), NodePointParams(), frame)
         for pose, d in zip(planned.node_poses[1:], NodePointParams().distances):
             node_global = from_planning_frame(pose, frame)
             _, offset = corr.project(node_global.x, node_global.y)
@@ -150,8 +150,8 @@ class TestPlanPath:
 
     def test_path_passes_through_node_poses(self):
         corr = arc_corridor(0.003)
-        frame = PlanningFrame(origin=corr.pose_at(0.0))
-        planned = plan_path(corr, GainMatrix.diagonal(30, 30, 30), NodePointParams(), frame)
+        frame = PlanningFrame(origin=corr.poses_at((0.0,))[0])
+        planned = plan_path(corr, GainMatrix(np.diag([30, 30, 30])), NodePointParams(), frame)
         bounds = np.concatenate(([0.0], np.cumsum([s.length for s in planned.path.segments])))
         for pose, s in zip(planned.node_poses, bounds):
             at = planned.path.pose_at(float(s))
@@ -168,7 +168,7 @@ class TestPlanPath:
 
     def test_monotone_curve_cutting(self):
         params = NodePointParams()
-        gains = GainMatrix.diagonal(25, 25, 25)
+        gains = GainMatrix(np.diag([25, 25, 25]))
         previous = -1.0
         for kappa in (0.001, 0.002, 0.004, 0.006):
             kbar = average_curvatures(arc_corridor(kappa), params.distances)
@@ -179,16 +179,16 @@ class TestPlanPath:
     def test_plan_from_polynomial_corridor(self):
         corr = corridor_from_polynomial(LanePolynomial(0.0, 0.0, 0.002, 0.0))
         frame = PlanningFrame(origin=Pose(0.0, 0.0, 0.0))
-        planned = plan_path(corr, GainMatrix.diagonal(25, 25, 25), NodePointParams(), frame)
+        planned = plan_path(corr, GainMatrix(np.diag([25, 25, 25])), NodePointParams(), frame)
         # spans from the origin to the far node; cutting makes it a touch
         # shorter than the midline stations
         assert planned.path.length == pytest.approx(137.0, abs=1.0)
 
     def test_offsets_injection_matches_gain_product(self):
         corr = arc_corridor(0.004)
-        frame = PlanningFrame(origin=corr.pose_at(0.0))
+        frame = PlanningFrame(origin=corr.poses_at((0.0,))[0])
         params = NodePointParams()
-        gains = GainMatrix.diagonal(25, 25, 25)
+        gains = GainMatrix(np.diag([25, 25, 25]))
         direct = plan_path(corr, gains, params, frame)
         injected = plan_path_from_offsets(
             corr,
@@ -204,7 +204,7 @@ class TestOffsetPlausibility:
         import logging
 
         corr = arc_corridor(0.004)
-        frame = PlanningFrame(origin=corr.pose_at(0.0))
+        frame = PlanningFrame(origin=corr.poses_at((0.0,))[0])
         huge = OffsetVector(2.0, 2.0, 2.0)  # beyond half the 3.70 m lane
         with caplog.at_level(logging.WARNING, logger="curvepath.planner"):
             planned = plan_path_from_offsets(corr, huge, NodePointParams(), frame)

@@ -5,11 +5,11 @@ import pytest
 from curvepath.metrics import (
     PerformanceReport,
     SafetyReport,
-    read_performance_report,
-    read_safety_report,
     write_performance_report,
     write_safety_report,
 )
+
+from helpers import read_report
 
 SAFETY = SafetyReport(
     border_violation_ratio=0.125,
@@ -28,8 +28,8 @@ def test_round_trip_with_json_mirror(tmp_path):
     performance = [
         {"driver_id": "d1", "avg_distance_m": 0.2, "max_distance_m": 0.7, "side_correctness_pct": 75.0}
     ]
-    assert read_safety_report(tmp_path / "s.csv") == safety
-    assert read_performance_report(tmp_path / "p.csv") == performance
+    assert read_report(tmp_path / "s.csv", "safety") == safety
+    assert read_report(tmp_path / "p.csv", "performance") == performance
     assert json.loads((tmp_path / "s.json").read_text()) == safety
     assert json.loads((tmp_path / "p.json").read_text()) == performance
 
@@ -37,13 +37,13 @@ def test_round_trip_with_json_mirror(tmp_path):
 def test_safety_csv_is_not_a_performance_report(tmp_path):
     write_safety_report([("d1", SAFETY)], tmp_path / "s.csv")
     with pytest.raises(ValueError, match="bad performance report header"):
-        read_performance_report(tmp_path / "s.csv")
+        read_report(tmp_path / "s.csv", "performance")
 
 
 def test_performance_csv_is_not_a_safety_report(tmp_path):
     write_performance_report([("d1", PERFORMANCE)], tmp_path / "p.csv")
     with pytest.raises(ValueError, match="bad safety report header"):
-        read_safety_report(tmp_path / "p.csv")
+        read_report(tmp_path / "p.csv", "safety")
 
 
 def test_short_row_rejected(tmp_path):
@@ -51,4 +51,4 @@ def test_short_row_rejected(tmp_path):
     with open(tmp_path / "s.csv", "a", encoding="utf-8") as fh:
         fh.write("d2,1.0\n")
     with pytest.raises(ValueError):
-        read_safety_report(tmp_path / "s.csv")
+        read_report(tmp_path / "s.csv", "safety")

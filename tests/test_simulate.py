@@ -69,6 +69,16 @@ class TestDriveLogCsv:
         with pytest.raises(ValueError, match="contiguous"):
             load_drive_log(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_timestamp_names_the_column(self, tmp_path, bad):
+        # a nan must not reach the median step, which calls it non-increasing
+        text = minimal_log_rows(5).replace("\n2,0.1,", f"\n2,{bad},")
+        assert bad in text
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="column t contains non-finite values"):
+            load_drive_log(path)
+
     def test_bit_exact_round_trip(self, tmp_path, clean_driver_log):
         path = tmp_path / "log.csv"
         clean_driver_log.write_csv(path)
