@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .clothoid import CompositePath, FitError, fit_composite
+from .clothoid import CompositePath, fit_composite
 from .planner import (
     DEFAULT_RETRIGGER_CYCLES,
     MAX_PREVIEW_M,
@@ -29,7 +30,7 @@ from .planner import (
 )
 from .road import (
     Corridor,
-    CorridorError,
+    SkipError,
     offset_point,
     project_to_polyline,
 )
@@ -57,12 +58,16 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RegressionDataset:
-    """Per-replan node offsets (3xN) and curvature inputs (3xN)."""
+    """Per-replan node offsets (3xN) and curvature inputs (3xN), and skips per reason."""
 
     offsets: np.ndarray
     inputs: np.ndarray
     n_cycles: int
-    skipped: int = 0
+    skips: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def skipped(self) -> int:
+        return sum(self.skips.values())
 
     def __post_init__(self):
         offsets = np.ascontiguousarray(self.offsets, dtype=float)
@@ -105,34 +110,33 @@ def assemble_dataset(
     replan cycle; the offsets are the driver's measured midline offsets at
     the rows nearest each node distance ahead. Replans lacking preview
     (short polynomial or log ending early) or whose lane polynomial gives no
-    valid corridor are skipped and counted.
+    valid corridor are skipped and counted by reason.
     """
     params = params or NodePointParams()
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
     u_cols = []
     d_cols = []
-    skipped = 0
+    skips = Counter()
     for row in range(0, len(log), retrigger):
         try:
             offsets = extract_measured_offsets(log, row, params)
             corridor = log.corridor(row)
             kappas = average_curvatures(corridor, params.distances)
-        except (InsufficientPreviewError, CorridorError):
-            skipped += 1
+        except SkipError as exc:
+            skips[exc.reason] += 1
             continue
         u_cols.append(kappas.as_array())
         d_cols.append(offsets.as_array())
     if not u_cols:
         raise EmptyDatasetError(
-            f"all {skipped} replanning cycles lacked preview or a valid corridor; "
-            "no dataset columns"
+            f"all {skips.total()} replanning cycles lacked preview or a valid corridor: {dict(skips)}"
         )
     return RegressionDataset(
         offsets=np.array(d_cols).T,
         inputs=np.array(u_cols).T,
         n_cycles=len(u_cols),
-        skipped=skipped,
+        skips=dict(skips),
     )
 
 
@@ -180,15 +184,19 @@ class NodeDistanceResult:
     """Averaged optimum, per-window optima with costs, and a flat-cost flag.
 
     Every window is used (one optimum), flat (its cost landscape is flat,
-    as on straight driving) or skipped (no valid corridor, too few stations
-    or no finite cost).
+    as on straight driving) or skipped, counted by reason ("corridor",
+    "few_stations", "no_finite_cost").
     """
 
     params: NodePointParams
     window_optima: tuple[tuple[float, float, float, float], ...]
     flat_cost: bool
-    skipped_windows: int
+    skips: dict[str, int]
     flat_windows: int
+
+    @property
+    def skipped_windows(self) -> int:
+        return sum(self.skips.values())
 
 
 def _window_geometry(log: DriveLog, anchor: int, window: int):
@@ -234,7 +242,7 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose) -> fl
     node_poses = map(offset_point, corridor.poses_at(distances), measured)
     try:
         path = fit_composite((anchor_pose, *node_poses))
-    except FitError:
+    except SkipError:
         return math.inf
     last = path.segments[-1]
     tail = horizon - d_far + 1.0
@@ -282,16 +290,16 @@ def optimize_node_distances(
 
     grid_near = np.arange(grid_step, 35.0 + 1e-9, grid_step)
     optima = []
-    skipped = 0
+    skips = Counter()
     flat_windows = 0
     for anchor in range(0, len(log) - window + 1, stride):
         try:
             corridor, pts, stations, offsets = _window_geometry(log, anchor, window)
-        except CorridorError:
-            skipped += 1
+        except SkipError as exc:
+            skips[exc.reason] += 1
             continue
         if stations.size < 8 or stations[-1] < 3.0 * grid_step:
-            skipped += 1
+            skips["few_stations"] += 1
             continue
         anchor_pose = log.pose(anchor)
         horizon = stations[-1]
@@ -311,7 +319,7 @@ def optimize_node_distances(
                         if adjusted < best[1]:
                             best = (raw, adjusted, (dn, dm, df))
         if not costs:
-            skipped += 1
+            skips["no_finite_cost"] += 1
             continue
         spread = max(costs) - min(costs)
         if spread < _FLAT_COST_EPS:
@@ -344,12 +352,12 @@ def optimize_node_distances(
     elif flat_windows:
         params = initial
     else:
-        raise EmptyDatasetError(f"no usable optimisation window ({skipped} skipped)")
+        raise EmptyDatasetError(f"no usable optimisation window ({skips.total()} skipped): {dict(skips)}")
     return NodeDistanceResult(
         params=params,
         window_optima=tuple(optima),
         flat_cost=not optima,
-        skipped_windows=skipped,
+        skips=dict(skips),
         flat_windows=flat_windows,
     )
 
@@ -359,9 +367,15 @@ def optimize_node_distances(
 
 
 class SweepRows(list):
-    """The node-count sweep's rows, and how many replans had no valid corridor."""
+    """The node-count sweep's rows, and its skipped replans per reason."""
 
-    skipped_replans: int = 0
+    def __init__(self, rows, skips: dict[str, int]):
+        super().__init__(rows)
+        self.skips = skips
+
+    @property
+    def skipped_replans(self) -> int:
+        return sum(self.skips.values())
 
 
 def node_count_tradeoff(
@@ -377,7 +391,7 @@ def node_count_tradeoff(
     the mean planning wall time are recorded, then both series are
     normalised by their maxima. A count's planning time is the mean over
     replans of each replan's best of `repeats` timed fits. Replans whose
-    lane polynomial gives no valid corridor are skipped and counted.
+    lane polynomial gives no valid corridor are skipped and counted by reason.
     """
     counts = list(counts)
     if not counts or any(c < 1 for c in counts):
@@ -386,14 +400,14 @@ def node_count_tradeoff(
         raise ValueError("repeats must be at least 1")
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
-    corridors, skipped = [], 0
+    corridors, skips = [], Counter()
     for row in range(0, len(log), retrigger):
         try:
             corridors.append(log.corridor(row))
-        except CorridorError:
-            skipped += 1
+        except SkipError as exc:
+            skips[exc.reason] += 1
     if not corridors:
-        raise EmptyDatasetError(f"all {skipped} replanning cycles lacked a valid corridor")
+        raise EmptyDatasetError(f"all {skips.total()} replanning cycles lacked a valid corridor: {dict(skips)}")
 
     def plan_once(corridor: Corridor, count: int):
         horizon = min(corridor.length, MAX_PREVIEW_M)
@@ -425,6 +439,5 @@ def node_count_tradeoff(
 
     err_max = max(errors) if max(errors) > 0 else 1.0
     time_max = max(times)
-    rows = SweepRows((count, err / err_max, t / time_max) for count, err, t in zip(counts, errors, times))
-    rows.skipped_replans = skipped
-    return rows
+    rows = ((count, err / err_max, t / time_max) for count, err, t in zip(counts, errors, times))
+    return SweepRows(rows, dict(skips))

@@ -179,6 +179,7 @@ def _cmd_calibrate(args) -> int:
         extras["distance_optimization"] = {
             "flat_cost": opt.flat_cost,
             "flat_windows": opt.flat_windows,
+            "skipped_by_reason": opt.skips,
             "skipped_windows": opt.skipped_windows,
             "window_optima": [list(o) for o in opt.window_optima],
         }
@@ -187,7 +188,8 @@ def _cmd_calibrate(args) -> int:
 
     payload = result.to_dict()
     payload["node_distances"] = list(result_distances.distances)
-    payload["dataset"] = {"cycles": dataset.n_cycles, "skipped": dataset.skipped}
+    payload["dataset"] = {"cycles": dataset.n_cycles, "skipped": dataset.skipped,
+                          "skipped_by_reason": dataset.skips}
     payload["provenance"] = {
         "log_file": str(args.log),
         "retrigger": settings.retrigger,
@@ -200,7 +202,8 @@ def _cmd_calibrate(args) -> int:
         sweep_path = args.sweep_out or (str(args.out) + ".sweep.csv")
         write_csv(sweep_path, SWEEP_HEADER, list(zip(*sweep)))
         print(f"wrote node-count sweep to {sweep_path}")
-        extras["node_count_sweep"] = {"skipped_replans": sweep.skipped_replans}
+        extras["node_count_sweep"] = {"skipped_by_reason": sweep.skips,
+                                      "skipped_replans": sweep.skipped_replans}
     payload.update(extras)
     write_json(args.out, payload)
     print(

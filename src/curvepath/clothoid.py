@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .road import Pose, wrap_angle
+from .road import Pose, SkipError, wrap_angle
 
 # (largest phase rise per panel in rad, Gauss-Legendre nodes per panel); see
 # the module docstring for the remainder bound each row keeps
@@ -53,8 +53,10 @@ FIT_RESIDUAL_TOL = 1e-12
 MIN_CHORD_M = 1e-6
 
 
-class FitError(RuntimeError):
+class FitError(SkipError, RuntimeError):
     """Base class for G1 fitting failures."""
+
+    reason = "fit"
 
 
 class DegenerateFitError(FitError):
@@ -373,7 +375,7 @@ def fit_composite(node_poses) -> CompositePath:
     for i, (a, b) in enumerate(zip(poses[:-1], poses[1:])):
         try:
             segments.append(fit_g1(a, b))
-        except FitError as exc:
+        except SkipError as exc:
             exc.args = (f"segment {i}: {exc}", *exc.args[1:])
             raise
     return CompositePath(segments=tuple(segments))

@@ -256,17 +256,16 @@ def _write_report(header: str, fields, rows, csv_path, json_path) -> None:
     names = header.split(",")
     entries = [dict(zip(names, (driver_id, *fields(report)))) for driver_id, report in rows]
     write_csv(csv_path, header, [[entry[name] for entry in entries] for name in names])
-    if json_path is not None:
-        write_json(json_path, entries)
+    write_json(json_path, entries)
 
 
-def write_safety_report(rows, csv_path, json_path=None) -> None:
+def write_safety_report(rows, csv_path, json_path) -> None:
     """rows: iterable of (driver_id, SafetyReport)."""
     _write_report(SAFETY_HEADER, lambda r: (100.0 * r.border_violation_ratio, r.min_border_distance),
                   rows, csv_path, json_path)
 
 
-def write_performance_report(rows, csv_path, json_path=None) -> None:
+def write_performance_report(rows, csv_path, json_path) -> None:
     """rows: iterable of (driver_id, PerformanceReport)."""
     _write_report(PERFORMANCE_HEADER, lambda r: (r.avg_distance, r.max_distance, 100.0 * r.side_correctness),
                   rows, csv_path, json_path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clothoid import CompositePath, fit_composite
-from .road import Corridor, PlanningFrame, Pose, offset_point, to_planning_frame
+from .road import Corridor, PlanningFrame, Pose, SkipError, offset_point, to_planning_frame
 
 logger = logging.getLogger(__name__)
 
@@ -24,8 +24,10 @@ DEFAULT_NODE_DISTANCES = (10.0, 39.0, 137.0)
 DEFAULT_RETRIGGER_CYCLES = 30
 
 
-class InsufficientPreviewError(ValueError):
+class InsufficientPreviewError(SkipError, ValueError):
     """The corridor does not reach the far node point."""
+
+    reason = "preview"
 
 
 @dataclass(frozen=True)

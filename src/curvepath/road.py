@@ -139,8 +139,16 @@ def project_to_polyline(x, y, px, py) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return seg, t, np.copysign(np.sqrt(d2), cross)
 
 
-class CorridorError(ValueError):
+class SkipError(Exception):
+    """A unit that cannot be planned; the loops that drop it count its `reason`."""
+
+    reason: str
+
+
+class CorridorError(SkipError, ValueError):
     """Midline samples that do not form a valid corridor."""
+
+    reason = "corridor"
 
 
 # Loose per-step consistency bound between heading increments and integrated

@@ -24,7 +24,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .clothoid import ClothoidSegment, FitError
+from .clothoid import ClothoidSegment
 from .planner import (
     DEFAULT_RETRIGGER_CYCLES,
     CurvatureInput,
@@ -42,10 +42,10 @@ from .road import (
     DEFAULT_LANE_WIDTH_M,
     DEFAULT_PREVIEW_M,
     Corridor,
-    CorridorError,
     LanePolynomial,
     PlanningFrame,
     Pose,
+    SkipError,
     corridor_from_polynomial,
     from_planning_frame,
 )
@@ -703,12 +703,13 @@ def extract_measured_offsets(log: DriveLog, row: int, params: NodePointParams) -
 
 @dataclass(frozen=True, eq=False)
 class ReplanRecord:
-    """Outcome of one retrigger: a new plan or a recorded gap."""
+    """Outcome of one retrigger: a new plan, or a gap and its skip reason."""
 
     cycle: int
-    path: PlannedPath | None
-    curvature_input: CurvatureInput | None
-    offsets: OffsetVector | None
+    path: PlannedPath | None = None
+    curvature_input: CurvatureInput | None = None
+    offsets: OffsetVector | None = None
+    reason: str | None = None
 
     @property
     def gap(self) -> bool:
@@ -744,7 +745,9 @@ class SimTrace:
         records = []
         for rec in self.replans:
             entry: dict = {"cycle": rec.cycle, "gap": rec.gap}
-            if not rec.gap:
+            if rec.gap:
+                entry["reason"] = rec.reason
+            else:
                 entry["curvature_input"] = list(asdict(rec.curvature_input).values())
                 entry["offsets"] = list(asdict(rec.offsets).values())
                 entry["path"] = {
@@ -771,7 +774,7 @@ def run_replay(
     follows the active path by arc length at the logged speed through the
     block. A replan without sufficient preview, whose lane polynomial gives
     no valid corridor or whose fit fails keeps the previous path active and
-    is recorded as a gap. Each block's offsets are measured against the
+    is recorded as a gap with its reason. Each block's offsets are measured against the
     corridor of the plan active in it, in one projection.
     """
     if mode not in ("validation", "estimation"):
@@ -811,8 +814,8 @@ def run_replay(
             else:
                 node_offsets = compute_offsets(gains, kbar)
             planned = plan_path_from_offsets(corr, node_offsets, params, PlanningFrame(origin=ego))
-        except (InsufficientPreviewError, FitError, CorridorError):
-            replans.append(ReplanRecord(cycle=lo, path=None, curvature_input=None, offsets=None))
+        except SkipError as exc:
+            replans.append(ReplanRecord(cycle=lo, reason=exc.reason))
         else:
             path_id += 1
             active, active_corr, path_s = planned, corr, 0.0

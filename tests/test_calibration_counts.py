@@ -41,7 +41,7 @@ def test_calibration_json_counts_flat_windows_and_skipped_sweep_replans(clean_dr
     assert (opt["flat_cost"], opt["flat_windows"], opt["skipped_windows"], opt["window_optima"]) == (
         True, 1, 0, []
     )
-    assert payload["node_count_sweep"] == {"skipped_replans": 1}
+    assert payload["node_count_sweep"] == {"skipped_by_reason": {"corridor": 1}, "skipped_replans": 1}
     assert (tmp_path / "sweep.csv").is_file()
 
 

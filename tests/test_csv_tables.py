@@ -99,7 +99,7 @@ def test_case_study_series_read_back_exactly(tmp_path, s_curve_road, replays):
 def test_report_row_errors_name_the_line(tmp_path):
     report = PerformanceReport(avg_distance=0.2, max_distance=0.7, side_correctness=0.75)
     path = tmp_path / "p.csv"
-    write_performance_report([("d1", report), ("d2", report)], path)
+    write_performance_report([("d1", report), ("d2", report)], path, tmp_path / "p.json")
     lines = path.read_text(encoding="utf-8").splitlines()
 
     path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n", encoding="utf-8")

@@ -137,7 +137,7 @@ class TestSafetyMetrics:
         trace = synthetic_trace(stations, np.full(stations.size, 0.492), straight_road)
         report = safety_metrics(trace, straight_road, VehicleSpec(width=1.8), [whole_route_segment])
         assert report.min_border_distance == pytest.approx(0.458, abs=1e-9)
-        write_safety_report([("driver_1", report)], tmp_path / "safety.csv")
+        write_safety_report([("driver_1", report)], tmp_path / "safety.csv", tmp_path / "safety.json")
         rows = read_report(tmp_path / "safety.csv", "safety")
         assert rows[0]["border_violation_pct"] == 0.0
         assert rows[0]["min_border_distance_m"] == pytest.approx(0.458)
@@ -264,7 +264,7 @@ class TestReportFormatReference:
         report = PerformanceReport(
             avg_distance=0.0204, max_distance=0.0891, side_correctness=0.6656
         )
-        write_performance_report([("driver_1", report)], tmp_path / "p.csv")
+        write_performance_report([("driver_1", report)], tmp_path / "p.csv", tmp_path / "p.json")
         row = read_report(tmp_path / "p.csv", "performance")[0]
         assert row["avg_distance_m"] == pytest.approx(0.0204)
         assert row["side_correctness_pct"] == pytest.approx(66.56)

@@ -33,7 +33,7 @@ def test_replans_json_schema(clean_driver_log, tmp_path):
     plans = 0
     for entry, rec in zip(entries, trace.replans, strict=True):
         if rec.gap:
-            assert entry == {"cycle": rec.cycle, "gap": True}
+            assert entry == {"cycle": rec.cycle, "gap": True, "reason": rec.reason}
             continue
         plans += 1
         assert set(entry) == {"cycle", "gap", "curvature_input", "offsets", "path"}

@@ -35,19 +35,19 @@ def test_round_trip_with_json_mirror(tmp_path):
 
 
 def test_safety_csv_is_not_a_performance_report(tmp_path):
-    write_safety_report([("d1", SAFETY)], tmp_path / "s.csv")
+    write_safety_report([("d1", SAFETY)], tmp_path / "s.csv", tmp_path / "s.json")
     with pytest.raises(ValueError, match="bad performance report header"):
         read_report(tmp_path / "s.csv", "performance")
 
 
 def test_performance_csv_is_not_a_safety_report(tmp_path):
-    write_performance_report([("d1", PERFORMANCE)], tmp_path / "p.csv")
+    write_performance_report([("d1", PERFORMANCE)], tmp_path / "p.csv", tmp_path / "p.json")
     with pytest.raises(ValueError, match="bad safety report header"):
         read_report(tmp_path / "p.csv", "safety")
 
 
 def test_short_row_rejected(tmp_path):
-    write_safety_report([("d1", SAFETY)], tmp_path / "s.csv")
+    write_safety_report([("d1", SAFETY)], tmp_path / "s.csv", tmp_path / "s.json")
     with open(tmp_path / "s.csv", "a", encoding="utf-8") as fh:
         fh.write("d2,1.0\n")
     with pytest.raises(ValueError):

@@ -1,0 +1,165 @@
+"""Every skipped replan, calibration cycle and window is counted by the reason
+its SkipError names, and the per-reason counts sum to the existing totals."""
+
+import dataclasses
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from curvepath import calibration, cli, planner
+from curvepath.calibration import (
+    EmptyDatasetError,
+    assemble_dataset,
+    node_count_tradeoff,
+    optimize_node_distances,
+)
+from curvepath.clothoid import DegenerateFitError, FitConvergenceError, FitError
+from curvepath.planner import DEFAULT_RETRIGGER_CYCLES, GainMatrix, InsufficientPreviewError, NodePointParams
+from curvepath.road import CorridorError, SkipError
+from curvepath.simulate import run_replay
+
+from conftest import P_TRUE
+
+BAD_ROWS = [0, 120]  # replan rows at the default retrigger of 30; c2 = 1.0 gives no corridor
+FIT_ROW = 60  # the third replan row at the default retrigger of 30
+
+
+@pytest.fixture(scope="module")
+def corrupted_log(clean_driver_log):
+    c2 = clean_driver_log.c2.copy()
+    c2[BAD_ROWS] = 1.0
+    return dataclasses.replace(clean_driver_log, c2=c2)
+
+
+def _gap_reasons(trace) -> Counter:
+    return Counter(rec.reason for rec in trace.replans if rec.gap)
+
+
+@pytest.mark.parametrize(
+    "error, reason, base",
+    [
+        (CorridorError, "corridor", ValueError),
+        (InsufficientPreviewError, "preview", ValueError),
+        (FitError, "fit", RuntimeError),
+        (FitConvergenceError, "fit", RuntimeError),
+        (DegenerateFitError, "fit", RuntimeError),
+    ],
+)
+def test_each_skip_exception_names_its_reason(error, reason, base):
+    assert issubclass(error, SkipError)
+    assert issubclass(error, base)
+    assert error.reason == reason
+    assert error("x").reason == reason
+
+
+def test_replay_gaps_name_the_corridor(corrupted_log):
+    trace = run_replay(corrupted_log, GainMatrix(P_TRUE))
+    gaps = [rec for rec in trace.replans if rec.gap]
+    assert _gap_reasons(trace) == {"corridor": 2}
+    assert sum(_gap_reasons(trace).values()) == len(gaps)
+    assert [rec.cycle for rec in gaps] == BAD_ROWS
+    assert all(rec.reason is None for rec in trace.replans if not rec.gap)
+
+
+def test_replay_gap_names_a_failed_fit(clean_driver_log, monkeypatch):
+    fit_composite = planner.fit_composite
+    calls = []
+
+    def fit_failing_at_the_third_plan(poses):
+        calls.append(poses)
+        if len(calls) == 3:
+            raise FitConvergenceError("no root")
+        return fit_composite(poses)
+
+    monkeypatch.setattr(planner, "fit_composite", fit_failing_at_the_third_plan)
+    trace = run_replay(clean_driver_log, GainMatrix(P_TRUE))
+    gaps = [rec for rec in trace.replans if rec.gap]
+    # the first two replans plan, the third reaches its fit and fails there
+    assert [(rec.cycle, rec.reason) for rec in gaps if rec.reason == "fit"] == [(FIT_ROW, "fit")]
+    assert sum(_gap_reasons(trace).values()) == len(gaps)
+
+
+def test_dataset_counts_corridor_and_preview(corrupted_log):
+    data = assemble_dataset(corrupted_log)
+    assert data.skips == {"corridor": 2, "preview": 3}
+    assert data.skipped == sum(data.skips.values())
+    assert data.n_cycles + data.skipped == len(range(0, len(corrupted_log), DEFAULT_RETRIGGER_CYCLES))
+
+
+def test_windows_count_corridor(corrupted_log):
+    got = optimize_node_distances(corrupted_log, NodePointParams(), window=120, stride=120)
+    assert got.skips == {"corridor": 2}
+    assert got.skipped_windows == sum(got.skips.values())
+
+
+def test_windows_count_no_finite_cost(clean_driver_log, monkeypatch):
+    fit_composite = calibration.fit_composite
+    failing_anchor = clean_driver_log.pose(120)
+
+    def fit_failing_at_one_anchor(poses):
+        if poses[0] == failing_anchor:
+            raise FitConvergenceError("no root")
+        return fit_composite(poses)
+
+    clean = optimize_node_distances(clean_driver_log, NodePointParams(), window=120, stride=120)
+    monkeypatch.setattr(calibration, "fit_composite", fit_failing_at_one_anchor)
+    got = optimize_node_distances(clean_driver_log, NodePointParams(), window=120, stride=120)
+    assert got.skips == {**clean.skips, "no_finite_cost": 1}
+    assert got.skipped_windows == sum(got.skips.values()) == clean.skipped_windows + 1
+
+
+def test_sweep_counts_corridor(corrupted_log):
+    rows = node_count_tradeoff(corrupted_log, counts=(1, 2), repeats=1)
+    assert rows.skips == {"corridor": 2}
+    assert rows.skipped_replans == sum(rows.skips.values())
+
+
+def _calibrate(log, tmp_path) -> tuple[int, dict | None]:
+    log_path = tmp_path / "log.csv"
+    log.write_csv(log_path)
+    out = tmp_path / "calibration.json"
+    argv = ["calibrate", "--log", log_path, "--out", out, "--optimize-distances", "--sweep-nodes",
+            "--sweep-out", tmp_path / "sweep.csv"]
+    code = cli.main([str(a) for a in argv])
+    return code, json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+
+
+def test_calibration_json_names_the_reasons(clean_driver_log, tmp_path):
+    c2 = clean_driver_log.c2.copy()
+    c2[[60, 120]] = 1.0
+    code, payload = _calibrate(dataclasses.replace(clean_driver_log, c2=c2), tmp_path)
+    assert code == 0
+    dataset, windows = payload["dataset"], payload["distance_optimization"]
+    assert dataset["skipped_by_reason"] == {"corridor": 2, "preview": 3}
+    assert dataset["skipped"] == 5
+    # the log's one 400-row window covers only the straight approach
+    assert (windows["skipped_by_reason"], windows["skipped_windows"], windows["flat_windows"]) == ({}, 0, 1)
+    assert payload["node_count_sweep"] == {"skipped_by_reason": {"corridor": 2}, "skipped_replans": 2}
+
+
+def test_calibration_error_names_the_reason(corrupted_log, tmp_path, capsys):
+    # the log's one 400-row window starts at the corrupted row 0
+    assert _calibrate(corrupted_log, tmp_path) == (2, None)
+    err = capsys.readouterr().err
+    assert "no usable optimisation window (1 skipped): {'corridor': 1}" in err
+    assert "Traceback" not in err
+
+
+def test_short_preview_errors_name_the_reason(clean_driver_log):
+    short = dataclasses.replace(clean_driver_log, preview_length=10.0)
+    with pytest.raises(EmptyDatasetError, match=r"\(6 skipped\): {'few_stations': 6}"):
+        optimize_node_distances(short, NodePointParams(), window=120, stride=120)
+    replans = len(range(0, len(short), DEFAULT_RETRIGGER_CYCLES))
+    message = rf"all {replans} replanning cycles.*{{'preview': {replans}}}"
+    with pytest.raises(EmptyDatasetError, match=message):
+        assemble_dataset(short)
+
+
+def test_sweep_error_names_the_reason(clean_driver_log):
+    corrupted = dataclasses.replace(clean_driver_log, c2=np.full_like(clean_driver_log.c2, 1.0))
+    replans = len(range(0, len(clean_driver_log), DEFAULT_RETRIGGER_CYCLES))
+    message = rf"all {replans} replanning cycles.*{{'corridor': {replans}}}"
+    with pytest.raises(EmptyDatasetError, match=message):
+        node_count_tradeoff(corrupted, counts=(1, 2), repeats=1)
