@@ -111,13 +111,14 @@ def _leaves(path: Path) -> list:
         return out
 
     def walk(node, name, where):
-        if isinstance(node, dict):
+        if isinstance(node, dict) and node:
             for key in sorted(node):
                 yield from walk(node[key], key, f"{where}/{key}")
-        elif isinstance(node, list):
+        elif isinstance(node, list) and node:
             for i, item in enumerate(node):
                 yield from walk(item, name, f"{where}/{i}")
         else:
+            # a scalar, or an empty dict or list, which is a value of its own
             yield where, name, node
 
     return list(walk(json.loads(path.read_text(encoding="utf-8")), "", ""))

@@ -24,12 +24,12 @@ from .planner import (
     DEFAULT_RETRIGGER_CYCLES,
     MAX_PREVIEW_M,
     GainMatrix,
-    InsufficientPreviewError,
     NodePointParams,
     average_curvatures,
 )
 from .road import (
     Corridor,
+    InsufficientPreviewError,
     SkipError,
     offset_point,
     project_to_polyline,
@@ -108,9 +108,9 @@ def assemble_dataset(
 
     The curvature input comes from the lane polynomial recorded at the
     replan cycle; the offsets are the driver's measured midline offsets at
-    the rows nearest each node distance ahead. Replans lacking preview
-    (short polynomial or log ending early) or whose lane polynomial gives no
-    valid corridor are skipped and counted by reason.
+    the rows nearest each node distance ahead. A replan is skipped and
+    counted by reason when its lane polynomial gives no valid corridor or,
+    checked next as in replay, it lacks preview.
     """
     params = params or NodePointParams()
     if retrigger < 1:
@@ -120,9 +120,8 @@ def assemble_dataset(
     skips = Counter()
     for row in range(0, len(log), retrigger):
         try:
+            kappas = average_curvatures(log.corridor(row), params.distances)
             offsets = extract_measured_offsets(log, row, params)
-            corridor = log.corridor(row)
-            kappas = average_curvatures(corridor, params.distances)
         except SkipError as exc:
             skips[exc.reason] += 1
             continue

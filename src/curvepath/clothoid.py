@@ -172,7 +172,7 @@ class ClothoidSegment:
                 raise ValueError(f"{name} must be finite")
 
     def curvature_at(self, s):
-        return self.kappa0 + self.kappa_rate * np.asarray(s, dtype=float)
+        return self.kappa0 + self.kappa_rate * s
 
     def sample(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions and unwrapped headings at arc lengths s: the sample of

@@ -15,19 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clothoid import CompositePath, fit_composite
-from .road import Corridor, PlanningFrame, Pose, SkipError, offset_point, to_planning_frame
+from .road import Corridor, PlanningFrame, Pose, offset_point, to_planning_frame
 
 logger = logging.getLogger(__name__)
 
 MAX_PREVIEW_M = 250.0
 DEFAULT_NODE_DISTANCES = (10.0, 39.0, 137.0)
 DEFAULT_RETRIGGER_CYCLES = 30
-
-
-class InsufficientPreviewError(SkipError, ValueError):
-    """The corridor does not reach the far node point."""
-
-    reason = "preview"
 
 
 @dataclass(frozen=True)
@@ -113,27 +107,13 @@ class PlannedPath:
     frame: PlanningFrame
 
 
-def select_node_points(corridor: Corridor, params: NodePointParams) -> tuple[Pose, Pose, Pose]:
-    """Nominate the midline poses at the near/mid/far arc lengths."""
-    if corridor.length + 1e-9 < params.d_far:
-        raise InsufficientPreviewError(
-            f"corridor length {corridor.length:.2f} m is shorter than the far "
-            f"node distance {params.d_far:.2f} m"
-        )
-    return corridor.poses_at(params.distances)
-
-
 def average_curvatures(corridor: Corridor, node_arclengths) -> CurvatureInput:
     """Arc-length mean curvature per subsection, computed as heading change
-    over arc length (exact for the integral mean)."""
-    d_near, d_mid, d_far = node_arclengths
-    if d_far > corridor.length + 1e-9:
-        raise InsufficientPreviewError(
-            f"node arc length {d_far:.2f} m beyond corridor ({corridor.length:.2f} m)"
-        )
+    over arc length (exact for the integral mean). A node past the
+    corridor's end raises the lookup's InsufficientPreviewError."""
     # four bounds: one interpolation, then Python floats beat numpy's
     # per-call overhead
-    b0, b1, b2, b3 = bounds = (0.0, float(d_near), float(d_mid), float(d_far))
+    b0, b1, b2, b3 = bounds = (0.0, *map(float, node_arclengths))
     h0, h1, h2, h3 = corridor.heading_unwrapped_at(bounds).tolist()
     return CurvatureInput((h1 - h0) / (b1 - b0), (h2 - h1) / (b2 - b1), (h3 - h2) / (b3 - b2))
 
@@ -159,7 +139,7 @@ def plan_path_from_offsets(
     the planning frame before fitting: each fit is normalised to its chord
     frame, so the curves do not depend on the frame they are fitted in.
     """
-    nominal = select_node_points(corridor, params)
+    nominal = corridor.poses_at(params.distances)
 
     if (largest := offsets.max_abs()) >= 0.5 * corridor.lane_width:
         logger.warning(

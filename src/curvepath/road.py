@@ -151,6 +151,12 @@ class CorridorError(SkipError, ValueError):
     reason = "corridor"
 
 
+class InsufficientPreviewError(SkipError, ValueError):
+    """A station past the end of the corridor: the preview is too short."""
+
+    reason = "preview"
+
+
 # Loose per-step consistency bound between heading increments and integrated
 # curvature; catches corrupted corridor data without rejecting legitimate
 # discretisation error at curvature jumps.
@@ -242,10 +248,23 @@ class Corridor:
         """Shortest arc-length step between consecutive samples."""
         return float(np.min(np.diff(self.s)))
 
+    def _check(self, stations) -> None:
+        """The station rule of every lookup: a nan station or one more than
+        1e-9 before 0 raises ValueError, one more than 1e-9 past the end
+        InsufficientPreviewError, and np.interp clamps one within 1e-9 of an
+        end. A loop checks a plan's three or four stations faster than numpy."""
+        end = self.length + 1e-9
+        for station in stations:
+            if not -1e-9 <= station <= end:
+                error = InsufficientPreviewError if station > end else ValueError
+                raise error(f"station {station} outside corridor [0, {self.length}]")
+
     def _lookup(self, station, channel: np.ndarray) -> np.ndarray | float:
         """A channel interpolated at station: a float for a scalar station,
         otherwise an array."""
-        out = np.interp(station, self.s, channel)
+        stations = np.asarray(station, dtype=float)
+        self._check(stations.ravel().tolist())
+        out = np.interp(stations, self.s, channel)
         return float(out) if np.isscalar(station) else out
 
     def heading_unwrapped_at(self, station) -> np.ndarray | float:
@@ -260,12 +279,7 @@ class Corridor:
     def poses_at(self, stations) -> tuple[Pose, ...]:
         """Midline poses at a sequence of arc lengths, each within [0, length]."""
         stations = np.asarray(stations, dtype=float)
-        end = self.length + 1e-9
-        # a plan asks for three stations, which a Python loop checks faster
-        # than array comparisons and any() do
-        for station in stations.tolist():
-            if station < -1e-9 or station > end:
-                raise ValueError(f"station {station} outside corridor [0, {self.length}]")
+        self._check(stations.tolist())
         xs, ys, thetas = (np.interp(stations, self.s, v).tolist() for v in (self.x, self.y, self.theta))
         return tuple(map(Pose, xs, ys, thetas))
 
@@ -292,8 +306,7 @@ class Corridor:
         steps are checked.
         """
         end = start + length
-        if start < -1e-9 or end > self.length + 1e-9:
-            raise ValueError("window outside corridor")
+        self._check((start, end))
         inner = (self.s > start + 1e-12) & (self.s < end - 1e-12)
         stations = np.concatenate(([start], self.s[inner], [end]))
         s = stations - start

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import get_args, get_origin
 
@@ -29,7 +30,6 @@ from .planner import (
     DEFAULT_RETRIGGER_CYCLES,
     CurvatureInput,
     GainMatrix,
-    InsufficientPreviewError,
     NodePointParams,
     OffsetVector,
     PlannedPath,
@@ -42,6 +42,7 @@ from .road import (
     DEFAULT_LANE_WIDTH_M,
     DEFAULT_PREVIEW_M,
     Corridor,
+    InsufficientPreviewError,
     LanePolynomial,
     PlanningFrame,
     Pose,
@@ -799,13 +800,14 @@ def run_replay(
     path_ids = np.full(n, -1, dtype=np.int64)
 
     for lo in range(0, n, retrigger):
+        cycle = int(log.cycle[lo])
         try:
             corr_full = log.corridor(lo).transformed(log.pose(lo))
             # Node distances are measured from the planning frame, i.e.
             # from the replayed vehicle, which may run slightly ahead of
             # or behind the recording vehicle the perception is tied to.
-            # A preview that ends before the far node raises in
-            # average_curvatures (or, if empty, in window).
+            # A preview that ends before the far node raises at the first
+            # lookup past its end (an empty one raises in window).
             s_ego, _ = corr_full.project(ego.x, ego.y)
             corr = corr_full.window(s_ego, corr_full.length - s_ego)
             kbar = average_curvatures(corr, params.distances)
@@ -815,28 +817,29 @@ def run_replay(
                 node_offsets = compute_offsets(gains, kbar)
             planned = plan_path_from_offsets(corr, node_offsets, params, PlanningFrame(origin=ego))
         except SkipError as exc:
-            replans.append(ReplanRecord(cycle=lo, reason=exc.reason))
+            replans.append(ReplanRecord(cycle=cycle, reason=exc.reason))
         else:
             path_id += 1
             active, active_corr, path_s = planned, corr, 0.0
             segment, local = planned.path.segments[0], 0.0
-            replans.append(ReplanRecord(cycle=lo, path=planned, curvature_input=kbar, offsets=node_offsets))
+            replans.append(ReplanRecord(cycle=cycle, path=planned, curvature_input=kbar, offsets=node_offsets))
         block = slice(lo, min(lo + retrigger, n))
         path_ids[block] = path_id
         for i in range(lo, block.stop):
             xs[i], ys[i], thetas[i] = ego.x, ego.y, ego.theta
             if active is not None:
                 # the curvature at the station the previous step reached
-                kappas[i] = segment.kappa0 + segment.kappa_rate * local
+                kappas[i] = segment.curvature_at(local)
                 path_s = min(path_s + float(log.speed[i]) * log.sample_time, active.path.length)
                 segment, local = active.path.locate(path_s)
                 ego = from_planning_frame(segment.pose_at(local), active.frame)
         if active is not None:
             _, offsets[block] = active_corr.project_many(xs[block], ys[block])
     if path_id < 0:
-        raise ReplayError("replay produced no valid plan at any retrigger")
+        reasons = Counter(rec.reason for rec in replans)
+        raise ReplayError(f"replay produced no valid plan at any of {len(replans)} retriggers: {dict(reasons)}")
     return SimTrace(
-        cycle=np.arange(n, dtype=np.int64),
+        cycle=log.cycle.copy(),
         x=xs,
         y=ys,
         theta=thetas,

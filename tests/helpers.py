@@ -90,8 +90,8 @@ def read_report(csv_path, kind: str) -> list[dict]:
 def curvature_profile(path, step: float) -> np.ndarray:
     """(s, kappa) rows at every `step` over a CompositePath, each curvature
     taken as replay's follow loop takes it: locate, then the segment's
-    kappa0 + kappa_rate * local."""
+    curvature_at(local)."""
     n = max(1, int(math.ceil(path.length / step)))
     stations = np.linspace(0.0, path.length, n + 1)
-    kappas = [seg.kappa0 + seg.kappa_rate * local for seg, local in map(path.locate, stations.tolist())]
+    kappas = [seg.curvature_at(local) for seg, local in map(path.locate, stations.tolist())]
     return np.column_stack((stations, kappas))

@@ -158,7 +158,7 @@ class TestOptimizeNodeDistances:
         assert result.params == initial
 
     def test_log_shorter_than_window_rejected(self, straight_log):
-        from curvepath.planner import InsufficientPreviewError
+        from curvepath.road import InsufficientPreviewError
         from curvepath.simulate import DriveLog
 
         short = DriveLog(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curvepath.clothoid import ClothoidSegment, _phase_integrals, _scalar_phase_integrals, fit_composite
-from curvepath.planner import NodePointParams, OffsetVector, plan_path_from_offsets, select_node_points
+from curvepath.planner import NodePointParams, OffsetVector, plan_path_from_offsets
 from curvepath.road import (
     PlanningFrame,
     Pose,
@@ -94,7 +94,7 @@ def test_planning_frame_fit_matches_global_fit(scenario):
         frame = PlanningFrame(origin=ego)
         planned = plan_path_from_offsets(corr, offsets, params, frame)
 
-        nominal = select_node_points(corr, params)
+        nominal = corr.poses_at(params.distances)
         nodes = [offset_point(p, d) for p, d in zip(nominal, offsets.as_array())]
         reference = fit_composite((ego, *nodes))
         for got, want in zip(planned.path.segments, reference.segments):

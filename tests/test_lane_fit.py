@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvepath.planner import InsufficientPreviewError
+from curvepath.road import InsufficientPreviewError
 from curvepath.simulate import (
     _fit_lane_block,
     build_scenario_road,

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from curvepath.calibration import assemble_dataset
-from curvepath.planner import GainMatrix, InsufficientPreviewError, NodePointParams
+from curvepath.planner import GainMatrix, NodePointParams
+from curvepath.road import InsufficientPreviewError
 from curvepath.simulate import (
     SyntheticDriverSpec,
     build_scenario_road,

@@ -73,6 +73,16 @@ def test_compare_names_added_keys_and_checks_shared_values(parity, tmp_path, cap
     assert "offsets: " in out and "over 1e-09" in out
 
 
+def test_compare_names_added_empty_containers(parity, tmp_path, capsys):
+    base, new = tmp_path / "a", tmp_path / "b"
+    for out, payload in ((base, {"x": 1.0}), (new, {"x": 1.0, "y": {}, "z": []})):
+        out.mkdir()
+        (out / "result.json").write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    assert parity.compare(base, new) == 1
+    out = capsys.readouterr().out
+    assert "/y y: only in new" in out and "/z z: only in new" in out
+
+
 def test_check_compares_only_the_files_the_reference_holds(parity, tmp_path, capsys):
     new = _write(tmp_path / "new")
     reference = tmp_path / "reference"

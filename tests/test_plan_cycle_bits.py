@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from curvepath.planner import InsufficientPreviewError, NodePointParams, average_curvatures, select_node_points
+from curvepath.planner import NodePointParams, average_curvatures
 from curvepath.road import (
     Corridor,
     CorridorError,
+    InsufficientPreviewError,
     LanePolynomial,
     Pose,
     corridor_from_polynomial,
@@ -145,7 +146,7 @@ def test_average_curvatures_match_numpy_diff(distances):
 
 def test_short_corridor_still_raises_insufficient_preview():
     corridor = corridor_from_polynomial(LanePolynomial(0.0, 0.0, 0.0, 0.0, 103.0))
-    with pytest.raises(InsufficientPreviewError, match="beyond corridor"):
+    with pytest.raises(InsufficientPreviewError, match=r"station 137\.0 outside corridor"):
         average_curvatures(corridor, (10.0, 39.0, 137.0))
-    with pytest.raises(InsufficientPreviewError, match="shorter than the far node distance"):
-        select_node_points(corridor, NodePointParams())
+    with pytest.raises(InsufficientPreviewError, match=r"station 137\.0 outside corridor"):
+        corridor.poses_at(NodePointParams().distances)

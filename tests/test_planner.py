@@ -7,16 +7,15 @@ from hypothesis import given, strategies as st
 from curvepath.planner import (
     CurvatureInput,
     GainMatrix,
-    InsufficientPreviewError,
     NodePointParams,
     OffsetVector,
     average_curvatures,
     compute_offsets,
     plan_path,
     plan_path_from_offsets,
-    select_node_points,
 )
 from curvepath.road import (
+    InsufficientPreviewError,
     LanePolynomial,
     PlanningFrame,
     Pose,
@@ -49,7 +48,7 @@ class TestNodePointParams:
 
 class TestSelectNodePoints:
     def test_straight_defaults(self):
-        poses = select_node_points(straight_corridor(), NodePointParams())
+        poses = straight_corridor().poses_at(NodePointParams().distances)
         for pose, d in zip(poses, NodePointParams().distances):
             assert pose.x == pytest.approx(d, abs=1e-9)
             assert pose.y == pytest.approx(0.0, abs=1e-9)
@@ -57,12 +56,12 @@ class TestSelectNodePoints:
 
     def test_heading_on_circle(self):
         corr = arc_corridor(1.0 / 500.0)
-        poses = select_node_points(corr, NodePointParams())
+        poses = corr.poses_at(NodePointParams().distances)
         assert poses[0].theta == pytest.approx(10.0 / 500.0, abs=1e-9)
 
     def test_short_corridor_rejected(self):
         with pytest.raises(InsufficientPreviewError):
-            select_node_points(straight_corridor(100.0), NodePointParams())
+            straight_corridor(100.0).poses_at(NodePointParams().distances)
 
 
 class TestAverageCurvatures:

@@ -55,3 +55,16 @@ def test_replans_json_schema(clean_driver_log, tmp_path):
                 seg.length,
             )
     assert plans >= 10
+
+
+def test_trace_and_replan_cycles_are_the_logs(clean_driver_log, tmp_path):
+    shifted = dataclasses.replace(clean_driver_log, cycle=clean_driver_log.cycle + 1000)
+    base = run_replay(clean_driver_log, GainMatrix(P_TRUE), mode="estimation")
+    trace = run_replay(shifted, GainMatrix(P_TRUE), mode="estimation")
+    assert trace.cycle.tolist() == shifted.cycle.tolist()
+    assert [(r.cycle, r.gap) for r in trace.replans] == [(r.cycle + 1000, r.gap) for r in base.replans]
+    assert any(r.gap for r in trace.replans)
+    assert trace.x.tolist() == base.x.tolist()
+    out = tmp_path / "replans.json"
+    trace.replans_to_json(out)
+    assert [e["cycle"] for e in json.loads(out.read_text(encoding="utf-8"))] == [r.cycle for r in trace.replans]

@@ -207,7 +207,7 @@ class TestMeasuredOffsets:
         assert rows == [8, 31, 110]
 
     def test_insufficient_preview_near_log_end(self, clean_driver_log):
-        from curvepath.planner import InsufficientPreviewError
+        from curvepath.road import InsufficientPreviewError
 
         with pytest.raises(InsufficientPreviewError):
             extract_measured_offsets(

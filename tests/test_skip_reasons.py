@@ -3,6 +3,7 @@ its SkipError names, and the per-reason counts sum to the existing totals."""
 
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -16,9 +17,9 @@ from curvepath.calibration import (
     optimize_node_distances,
 )
 from curvepath.clothoid import DegenerateFitError, FitConvergenceError, FitError
-from curvepath.planner import DEFAULT_RETRIGGER_CYCLES, GainMatrix, InsufficientPreviewError, NodePointParams
-from curvepath.road import CorridorError, SkipError
-from curvepath.simulate import run_replay
+from curvepath.planner import DEFAULT_RETRIGGER_CYCLES, GainMatrix, NodePointParams
+from curvepath.road import CorridorError, InsufficientPreviewError, SkipError
+from curvepath.simulate import ReplayError, load_drive_log, run_replay
 
 from conftest import P_TRUE
 
@@ -163,3 +164,27 @@ def test_sweep_error_names_the_reason(clean_driver_log):
     message = rf"all {replans} replanning cycles.*{{'corridor': {replans}}}"
     with pytest.raises(EmptyDatasetError, match=message):
         node_count_tradeoff(corrupted, counts=(1, 2), repeats=1)
+
+
+def test_replay_error_names_the_reasons(clean_driver_log):
+    replans = len(range(0, len(clean_driver_log), DEFAULT_RETRIGGER_CYCLES))
+    message = rf"no valid plan at any of {replans} retriggers: {{'preview': {replans}}}"
+    with pytest.raises(ReplayError, match=message):
+        run_replay(clean_driver_log, GainMatrix(P_TRUE), NodePointParams(10.0, 39.0, 200.0))
+
+
+def test_dataset_sweep_and_replay_agree_on_the_reason(tmp_path):
+    # the command line's default synthetic log: its last replans lack preview
+    assert cli.main(["synth", "--drivers", "1", "--out-dir", str(tmp_path)]) == 0
+    entry_log = load_drive_log(tmp_path / "driver_01.csv")
+    assert assemble_dataset(entry_log).skips == {"preview": 3}
+    # with no corridor anywhere they count as corridor skips in every loop
+    no_corridor = dataclasses.replace(entry_log, c2=np.full_like(entry_log.c2, 1.0))
+    replans = len(range(0, len(entry_log), DEFAULT_RETRIGGER_CYCLES))
+    reasons = re.escape(str({"corridor": replans}))
+    with pytest.raises(EmptyDatasetError, match=reasons):
+        assemble_dataset(no_corridor)
+    with pytest.raises(EmptyDatasetError, match=reasons):
+        node_count_tradeoff(no_corridor, counts=(1, 2), repeats=1)
+    with pytest.raises(ReplayError, match=reasons):
+        run_replay(no_corridor, GainMatrix(P_TRUE), mode="estimation")
