@@ -29,7 +29,6 @@ from .planner import (
 )
 from .road import (
     Corridor,
-    InsufficientPreviewError,
     SkipError,
     offset_point,
     project_to_polyline,
@@ -50,10 +49,6 @@ class EmptyDatasetError(ValueError):
 
 class RankDeficiencyError(ValueError):
     """The curvature inputs do not excite all three subsections."""
-
-    def __init__(self, message: str, null_directions: np.ndarray):
-        super().__init__(message)
-        self.null_directions = null_directions
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,15 +149,13 @@ def fit_gain_matrix(data: RegressionDataset) -> CalibrationResult:
     cutoff = (sig[0] if sig[0] > 0 else 1.0) * _SVD_REL_TOL
     rank = int(np.sum(sig > cutoff))
     if rank < 3:
-        null = w[:, rank:]
         combos = []
-        for col in null.T:
+        for col in w[:, rank:].T:
             terms = " + ".join(f"{c:+.3f}*{n}" for c, n in zip(col, _INPUT_LABELS))
             combos.append(terms)
         raise RankDeficiencyError(
             f"curvature inputs have numerical rank {rank} < 3; "
-            f"unexcited direction(s): {'; '.join(combos)}",
-            null_directions=null,
+            f"unexcited direction(s): {'; '.join(combos)}"
         )
     p = d_mat @ vt.T @ np.diag(1.0 / sig) @ w.T
     residual = d_mat - p @ u_mat
@@ -283,9 +276,7 @@ def optimize_node_distances(
     if stride < 1:
         raise ValueError("stride must be positive")
     if len(log) < window:
-        raise InsufficientPreviewError(
-            f"log has {len(log)} samples, shorter than one {window}-sample window"
-        )
+        raise ValueError(f"log has {len(log)} samples, shorter than one {window}-sample window")
 
     grid_near = np.arange(grid_step, 35.0 + 1e-9, grid_step)
     optima = []

@@ -164,14 +164,21 @@ _HEADING_STEP_TOL = 0.02
 
 
 _CHANNELS = ("s", "x", "y", "theta", "kappa")
-_NOT_INCREASING = "corridor arc length must be strictly increasing"
-_HEADING_MISMATCH = "corridor heading increments inconsistent with curvature"
 
 
-def _heading_residual(dtheta, kappa0, kappa1, ds):
-    """|heading increment - trapezoidal curvature integral| over steps of
-    length ds; takes floats or arrays."""
-    return abs(dtheta - 0.5 * (kappa0 + kappa1) * ds)
+def _check_steps(s: np.ndarray, theta: np.ndarray, kappa: np.ndarray) -> None:
+    """The step rule of every corridor: arc length rises, and each heading
+    increment is within _HEADING_STEP_TOL of the trapezoidal integral of the
+    curvature over its step."""
+    ds = s[1:] - s[:-1]
+    # one reduction each instead of a comparison array and any(): the steps
+    # of finite stations are never nan, and max() passes on the nan a
+    # residual gets from inf - inf, which the check then rejects
+    if ds.min() <= 0:
+        raise CorridorError("corridor arc length must be strictly increasing")
+    residual = np.abs(theta[1:] - theta[:-1] - 0.5 * (kappa[:-1] + kappa[1:]) * ds)
+    if not residual.max() <= _HEADING_STEP_TOL:
+        raise CorridorError("corridor heading increments inconsistent with curvature")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,18 +215,10 @@ class Corridor:
                     raise CorridorError(f"corridor array {name} contains non-finite values")
         if abs(s[0]) > 1e-9:
             raise CorridorError("corridor arc length must start at 0")
-        s -= s[0]
-        ds = s[1:] - s[:-1]
-        # one reduction each instead of a comparison array and any(): the
-        # steps of finite stations are never nan, and max() passes on the nan
-        # a residual gets from inf - inf, which the check then rejects
-        if ds.min() <= 0:
-            raise CorridorError(_NOT_INCREASING)
         if not self.lane_width > 0:
             raise CorridorError("lane_width must be positive")
-        residual = _heading_residual(theta[1:] - theta[:-1], kappa[:-1], kappa[1:], ds)
-        if not residual.max() <= _HEADING_STEP_TOL:
-            raise CorridorError(_HEADING_MISMATCH)
+        s -= s[0]
+        _check_steps(s, theta, kappa)
         self._store(arrays)
 
     def _store(self, arrays) -> None:
@@ -297,38 +296,27 @@ class Corridor:
             self.kappa,
         )
 
-    def window(self, start: float, length: float) -> "Corridor":
-        """Sub-corridor covering [start, start + length], rebased to s = 0.
+    def window(self, start: float) -> "Corridor":
+        """Sub-corridor from `start` to the last sample, rebased to s = 0.
 
-        The inner steps are steps of this corridor. The interpolated first
-        and last steps are new: a cut through a step with a curvature jump
-        leaves a heading residual of up to 0.125 * ds * dkappa, so those two
-        steps are checked.
+        A start within 1e-9 before 0 is 0, and the samples more than 1e-9
+        past the start follow it. Their steps are steps of this corridor; the
+        interpolated first step is new, and a cut through a step with a
+        curvature jump leaves a heading residual of up to 0.125 * ds * dkappa,
+        so the step rule checks that step.
         """
-        end = start + length
-        self._check((start, end))
-        inner = (self.s > start + 1e-12) & (self.s < end - 1e-12)
-        stations = np.concatenate(([start], self.s[inner], [end]))
-        s = stations - start
-        theta = np.interp(stations, self.s, self.theta)
-        kappa = np.interp(stations, self.s, self.kappa)
-        # the two cut steps (the same step when no sample lies inside)
-        for i in (0, s.size - 2):
-            (s0, s1), (theta0, theta1), (kappa0, kappa1) = (
-                s[i : i + 2].tolist(), theta[i : i + 2].tolist(), kappa[i : i + 2].tolist()
-            )
-            if not s1 - s0 > 0:
-                raise CorridorError(_NOT_INCREASING)
-            if not (_heading_residual(theta1 - theta0, kappa0, kappa1, s1 - s0) <= _HEADING_STEP_TOL):
-                raise CorridorError(_HEADING_MISMATCH)
-        return Corridor._derived(
-            self.lane_width,
-            s,
-            np.interp(stations, self.s, self.x),
-            np.interp(stations, self.s, self.y),
-            theta,
-            kappa,
+        self._check((start,))
+        start = max(start, 0.0)
+        rebased = self.s - start
+        k = int(np.searchsorted(rebased, 1e-9, side="right"))
+        if k == len(self):
+            raise CorridorError("corridor needs at least two samples")
+        s = np.concatenate(([0.0], rebased[k:]))
+        x, y, theta, kappa = (
+            np.concatenate(([np.interp(start, self.s, v)], v[k:])) for v in (self.x, self.y, self.theta, self.kappa)
         )
+        _check_steps(s[:2], theta[:2], kappa[:2])
+        return Corridor._derived(self.lane_width, s, x, y, theta, kappa)
 
     def project(self, px: float, py: float) -> tuple[float, float]:
         """Project a point onto the midline polyline.

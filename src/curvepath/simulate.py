@@ -809,7 +809,7 @@ def run_replay(
             # A preview that ends before the far node raises at the first
             # lookup past its end (an empty one raises in window).
             s_ego, _ = corr_full.project(ego.x, ego.y)
-            corr = corr_full.window(s_ego, corr_full.length - s_ego)
+            corr = corr_full.window(s_ego)
             kbar = average_curvatures(corr, params.distances)
             if mode == "estimation":
                 node_offsets = extract_measured_offsets(log, lo, params)

@@ -158,7 +158,7 @@ class TestOptimizeNodeDistances:
         assert result.params == initial
 
     def test_log_shorter_than_window_rejected(self, straight_log):
-        from curvepath.road import InsufficientPreviewError
+        from curvepath.road import SkipError
         from curvepath.simulate import DriveLog
 
         short = DriveLog(
@@ -166,8 +166,10 @@ class TestOptimizeNodeDistances:
             **{name: getattr(straight_log, name)[:100] for name in DriveLog._FLOAT_COLUMNS},
             sample_time=straight_log.sample_time,
         )
-        with pytest.raises(InsufficientPreviewError):
+        # a size check on the caller's arguments, not a skipped unit
+        with pytest.raises(ValueError, match="^log has 100 samples, shorter than one 400-sample window$") as raised:
             optimize_node_distances(short, NodePointParams())
+        assert not isinstance(raised.value, SkipError)
 
 
 @pytest.fixture(scope="module")

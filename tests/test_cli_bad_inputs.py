@@ -63,8 +63,11 @@ STRAIGHT = {"kind": "straight", "length": 100.0}
         ({"kind": "clothoid-transition", "length": 80.0, "kappa_start": 0.0, "kappa_end": float("inf")},
          "segment 1: kappa_end must be finite"),
         ({"kind": "straight", "length": float("inf")}, "segment 1: length must be finite"),
+        # the next segment, a straight, starts at curvature 0
+        ({"kind": "clothoid-transition", "length": 80.0, "kappa_start": 0.0, "kappa_end": 0.01},
+         "segment 1: transition end curvature discontinuous"),
     ],
-    ids=["no-kappa", "no-kind", "nan-kappa", "inf-kappa-end", "inf-length"],
+    ids=["no-kappa", "no-kind", "nan-kappa", "inf-kappa-end", "inf-length", "transition-end-jump"],
 )
 def test_bad_scenario_segment_is_named(segment, message, tmp_path, capsys):
     config = {"scenario": {"segments": [STRAIGHT, segment, STRAIGHT]}}

@@ -2,11 +2,12 @@
 --config thresholds define, the same list `curvepath evaluate` scores."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from curvepath.cli import main
+from curvepath.cli import DATA_ERROR, main
 from curvepath.metrics import CASE_STUDY_MARGIN_M, detect_curve_segments
 from curvepath.simulate import build_scenario_road, s_curve_scenario
 
@@ -47,3 +48,14 @@ def test_config_thresholds_choose_the_segment(cohort, tmp_path):
     assert configured[-1] <= segment.end_s + CASE_STUDY_MARGIN_M
     assert configured[0] - (segment.start_s - CASE_STUDY_MARGIN_M) < 2.0
     assert (segment.end_s + CASE_STUDY_MARGIN_M) - configured[-1] < 2.0
+
+
+def test_segment_index_out_of_range_exits_2(cohort, tmp_path, capsys):
+    argv = ["case-study", "--log", str(cohort / "driver_01.csv"), "--gains", str(cohort / "gains.json"),
+            "--out-prefix", str(tmp_path / "cs"), "--segment-index", "99"]
+    capsys.readouterr()
+    assert main(argv) == DATA_ERROR == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^curvepath case-study: error: segment index 99 out of range 0\.\.\d+$", err, re.M)
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())

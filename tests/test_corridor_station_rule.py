@@ -1,7 +1,9 @@
 """Every corridor lookup checks its stations by one rule: a nan station or one
 more than 1e-9 before 0 raises ValueError, one more than 1e-9 past the end
 raises InsufficientPreviewError (a SkipError with reason "preview"), and one
-within 1e-9 of an end reads the end value."""
+within 1e-9 of an end reads the end value. A window starts at its station
+and ends at the corridor's end, so a window from within 1e-9 of the end
+would hold one sample and raises CorridorError."""
 
 import dataclasses
 import math
@@ -9,7 +11,16 @@ import re
 
 import pytest
 
-from curvepath.road import InsufficientPreviewError, LanePolynomial, Pose, SkipError, corridor_from_polynomial
+from curvepath.road import (
+    CorridorError,
+    InsufficientPreviewError,
+    LanePolynomial,
+    Pose,
+    SkipError,
+    corridor_from_polynomial,
+)
+
+CHANNELS = ("s", "x", "y", "theta", "kappa")
 
 
 def _corridor():
@@ -18,13 +29,9 @@ def _corridor():
 
 
 def _window_cut(corridor, station):
-    """The channels where a window cuts the corridor at `station`: the end of
-    the window from 0 to the station, or the start of a 1 m window from it."""
-    if station > 1.0:
-        window, i = corridor.window(0.0, station), -1
-    else:
-        window, i = corridor.window(station, 1.0), 0
-    return tuple(float(channel[i]) for channel in (window.x, window.y, window.theta, window.kappa))
+    """The channels where the window from `station` cuts the corridor."""
+    window = corridor.window(station)
+    return tuple(float(channel[0]) for channel in (window.x, window.y, window.theta, window.kappa))
 
 
 LOOKUPS = {
@@ -52,6 +59,11 @@ def test_one_station_rule(name):
         lookup(corridor, length + 2e-9)
     assert isinstance(raised.value, SkipError) and raised.value.reason == "preview"
     for near, end in ((-5e-10, 0.0), (length + 5e-10, length)):
+        if name == "window" and end == length:
+            for station in (near, end):
+                with pytest.raises(CorridorError, match="^corridor needs at least two samples$"):
+                    lookup(corridor, station)
+            continue
         got, want = lookup(corridor, near), lookup(corridor, end)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -63,3 +75,21 @@ def test_an_array_of_stations_is_checked_station_by_station(name):
     lookup = getattr(corridor, name)
     with pytest.raises(InsufficientPreviewError, match=_message(corridor, corridor.length + 1e-6)):
         lookup(stations)
+
+
+def test_a_window_from_within_the_margin_below_zero_is_the_window_from_zero():
+    corridor = _corridor()
+    got, want = corridor.window(-5e-10), corridor.window(0.0)
+    for name in CHANNELS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_window_keeps_no_sample_within_the_margin_past_its_start():
+    """A start just below a sample drops that sample rather than keep a step
+    shorter than the station rule's margin."""
+    corridor = _corridor()
+    for k in (1, 40, len(corridor) - 2):
+        window = corridor.window(float(corridor.s[k]) - 5e-10)
+        assert window.min_step >= 1e-9
+        assert len(window) == len(corridor) - k
+        assert window.s[1:].tobytes() == (corridor.s[k + 1 :] - (float(corridor.s[k]) - 5e-10)).tobytes()

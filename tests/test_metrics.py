@@ -193,6 +193,12 @@ class TestPerformanceMetrics:
         with pytest.raises(ValueError, match="overlap"):
             performance_metrics(trace, trace, [segment])
 
+    def test_no_segments_raises(self, straight_road):
+        stations = np.arange(0.0, 100.0, 1.25)
+        trace = synthetic_trace(stations, np.zeros_like(stations), straight_road)
+        with pytest.raises(ValueError, match="^no curve segments given$"):
+            performance_metrics(trace, trace, [])
+
     def test_requires_projection(self, clean_driver_log, s_curve_road):
         trace = run_replay(clean_driver_log, GainMatrix(P_TRUE), mode="validation")
         segments = detect_curve_segments(s_curve_road)

@@ -92,7 +92,7 @@ class TestReplayOffsets:
                 log.polynomial(c), lane_width=float(log.lane_width[c])
             ).transformed(log.pose(c))
             s_ego, _ = full.project(float(trace.x[c]), float(trace.y[c]))
-            corr = full.window(s_ego, full.length - s_ego)
+            corr = full.window(s_ego)
             for j in range(c, bounds[k + 1]):
                 assert trace.path_id[j] == k
                 _, expected = corr.project(float(trace.x[j]), float(trace.y[j]))

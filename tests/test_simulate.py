@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ class TestDriveLogCsv:
         path = tmp_path / "log.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="column t contains non-finite values"):
+            load_drive_log(path)
+
+    def test_falling_timestamps_rejected(self, tmp_path):
+        # t runs 0.0, -0.05, -0.1: the median step is negative
+        text = minimal_log_rows(3).replace("\n1,0.05,", "\n1,-0.05,").replace("\n2,0.1,", "\n2,-0.1,")
+        assert "-0.1," in text
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}: non-increasing timestamps$"):
             load_drive_log(path)
 
     def test_bit_exact_round_trip(self, tmp_path, clean_driver_log):
