@@ -184,16 +184,18 @@ class ClothoidSegment:
         s = float(s)
         if not -1e-9 <= s <= self.length + 1e-9:
             raise ValueError(f"arc length outside [0, {self.length}]")
+        return Pose(*self.pose_floats_at(s if s < self.length else self.length))
+
+    def pose_floats_at(self, s: float) -> tuple[float, float, float]:
+        """x, y and unwrapped heading at a float arc length s <= length, as
+        floats: the formula of pose_at, which replay's follow loop calls per
+        station; a station at or before 0 is the start."""
+        start = self.start
         if s <= 0.0:
-            return self.start
-        s = s if s < self.length else self.length  # no min(): this runs per followed station
+            return start.x, start.y, start.theta
         s2 = s * s
-        x0, y0 = _scalar_phase_integrals(self.kappa_rate * s2, self.kappa0 * s, self.start.theta)
-        return Pose(
-            self.start.x + s * x0,
-            self.start.y + s * y0,
-            self.start.theta + self.kappa0 * s + 0.5 * self.kappa_rate * s2,
-        )
+        x0, y0 = _scalar_phase_integrals(self.kappa_rate * s2, self.kappa0 * s, start.theta)
+        return start.x + s * x0, start.y + s * y0, start.theta + self.kappa0 * s + 0.5 * self.kappa_rate * s2
 
     def end_pose(self) -> Pose:
         return self.pose_at(self.length)

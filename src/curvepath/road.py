@@ -98,34 +98,61 @@ def to_planning_frame(global_pose: Pose, frame: PlanningFrame) -> Pose:
     return Pose(c * dx + s * dy, -s * dx + c * dy, global_pose.theta - o.theta)
 
 
-def _from_frame(origin: Pose, x, y, theta):
-    """x, y and theta of a frame whose origin sits at `origin`, mapped out of
-    that frame; takes floats or arrays."""
-    c, s = math.cos(origin.theta), math.sin(origin.theta)
-    return origin.x + c * x - s * y, origin.y + s * x + c * y, theta + origin.theta
+def frame_map(origin: Pose):
+    """The map out of a frame whose origin sits at `origin`: a function of
+    x, y and theta (floats or arrays) with the origin's cos and sin taken
+    once."""
+    ox, oy, otheta = origin.x, origin.y, origin.theta
+    c, s = math.cos(otheta), math.sin(otheta)
+
+    def to_outer(x, y, theta):
+        return ox + c * x - s * y, oy + s * x + c * y, theta + otheta
+
+    return to_outer
 
 
 def from_planning_frame(local_pose: Pose, frame: PlanningFrame) -> Pose:
-    return Pose(*_from_frame(frame.origin, local_pose.x, local_pose.y, local_pose.theta))
+    return Pose(*frame_map(frame.origin)(local_pose.x, local_pose.y, local_pose.theta))
 
 
-def project_to_polyline(x, y, px, py) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def project_to_polyline(x, y, px, py, starts=None, line=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project points (px, py) onto the polyline through (x, y).
 
     Each point goes to the closer of the two segments that meet at its
     nearest vertex (the earlier one on a tie). Returns per point the segment
     index a, the fraction t in [0, 1] along segment a -> a + 1 and the
     signed distance, positive when the point lies left of the polyline.
+
+    Several polylines go in one call as their concatenated vertices, with
+    `starts` the index of each polyline's first vertex (ascending, from 0)
+    and `line` each point's polyline index; each point then goes to its own
+    polyline, and a is an index into x. One tree serves them all: a third
+    coordinate, the polyline index times a separation larger than the
+    extent of every vertex and point, keeps each point's nearest vertex on
+    its own polyline. Per point the result is bit for bit that of a call
+    with its polyline alone, unless the point lies exactly as far from two
+    vertices, a tie the two trees may break differently.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
-    _, nearest = cKDTree(np.column_stack((x, y))).query(np.column_stack((px, py)))
+    if starts is None:
+        first, last = 0, x.size - 2
+        _, nearest = cKDTree(np.column_stack((x, y))).query(np.column_stack((px, py)))
+    else:
+        starts = np.asarray(starts, dtype=np.intp)
+        line = np.asarray(line, dtype=np.intp)
+        first, last = starts[line], np.append(starts[1:], x.size)[line] - 2
+        # twice the diameter of the bounding box: a nan or inf point makes it
+        # nan, and the tree rejects it
+        separation = 2.0 * math.hypot(np.ptp(np.concatenate((x, px))), np.ptp(np.concatenate((y, py)))) + 1.0
+        z = np.repeat(np.arange(starts.size) * separation, np.diff(starts, append=x.size))
+        _, nearest = cKDTree(np.column_stack((x, y, z))).query(np.column_stack((px, py, line * separation)))
     # rows: the segment ending at the nearest vertex, the one starting there
     seg = np.stack((nearest - 1, nearest))
-    valid = (seg >= 0) & (seg < x.size - 1)
-    seg = np.clip(seg, 0, x.size - 2)
+    valid = (seg >= first) & (seg <= last)
+    seg = np.clip(seg, first, last)
     ax, ay = x[seg], y[seg]
     vx, vy = x[seg + 1] - ax, y[seg + 1] - ay
     t = np.clip(((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy), 0.0, 1.0)
@@ -292,7 +319,7 @@ class Corridor:
         return Corridor._derived(
             self.lane_width,
             self.s,
-            *_from_frame(anchor, self.x, self.y, self.theta),
+            *frame_map(anchor)(self.x, self.y, self.theta),
             self.kappa,
         )
 

@@ -48,7 +48,9 @@ from .road import (
     Pose,
     SkipError,
     corridor_from_polynomial,
-    from_planning_frame,
+    frame_map,
+    project_to_polyline,
+    wrap_angle,
 )
 
 DEFAULT_SAMPLE_TIME_S = 0.05
@@ -723,7 +725,10 @@ class SimTrace:
 
     station is NaN until the trace is projected onto an evaluation corridor
     (see metrics.project_onto); offset is measured against the perceived
-    midline of the most recent replan.
+    midline of the plan active in the row's block (the most recent replan
+    that was not a gap), and is NaN before the first plan. Replay projects
+    a chunk of blocks per call, which leaves each offset as one projection
+    per block gives it, bit for bit.
     """
 
     cycle: np.ndarray
@@ -760,6 +765,29 @@ class SimTrace:
         write_json(path, records)
 
 
+# followed corridor vertices that replay gathers before it projects their
+# rows in one call: about ten corridors. One call per replay would keep
+# every corridor of a retrigger-1 replay and its tree alive at once
+_PROJECT_VERTICES = 3000
+
+
+def _project_pending(pending: list[list], xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> None:
+    """Offsets of the pending rows, each from its own corridor, in one
+    projection; empties pending. Its rows are consecutive, from the first
+    entry's first row to the last entry's stop row."""
+    corridors = [corr for corr, _, _ in pending]
+    rows = slice(pending[0][1], pending[-1][2])
+    _, _, offsets[rows] = project_to_polyline(
+        np.concatenate([corr.x for corr in corridors]),
+        np.concatenate([corr.y for corr in corridors]),
+        xs[rows],
+        ys[rows],
+        np.cumsum([0] + [len(corr) for corr in corridors[:-1]]),
+        np.repeat(np.arange(len(corridors)), [stop - first for _, first, stop in pending]),
+    )
+    pending.clear()
+
+
 def run_replay(
     log: DriveLog,
     gains: GainMatrix,
@@ -775,8 +803,11 @@ def run_replay(
     follows the active path by arc length at the logged speed through the
     block. A replan without sufficient preview, whose lane polynomial gives
     no valid corridor or whose fit fails keeps the previous path active and
-    is recorded as a gap with its reason. Each block's offsets are measured against the
-    corridor of the plan active in it, in one projection.
+    is recorded as a gap with its reason. Each row's offset is measured
+    against the corridor of the plan active in its block. The loop follows
+    each station once, in floats, and projects the rows of the blocks
+    followed since the last projection in one call once their corridors
+    hold about 3000 vertices (about ten corridors), and at the end.
     """
     if mode not in ("validation", "estimation"):
         raise ValueError(f"mode must be 'validation' or 'estimation', got {mode!r}")
@@ -785,10 +816,11 @@ def run_replay(
     params = params or NodePointParams()
 
     n = len(log)
+    speeds = log.speed.tolist()
+    dt = log.sample_time
     ego = log.pose(0)
-    active: PlannedPath | None = None
+    ex, ey, etheta = ego.x, ego.y, ego.theta
     active_corr: Corridor | None = None
-    path_s = 0.0
     path_id = -1
     replans: list[ReplanRecord] = []
 
@@ -798,9 +830,14 @@ def run_replay(
     offsets = np.full(n, np.nan)
     kappas = np.full(n, np.nan)
     path_ids = np.full(n, -1, dtype=np.int64)
+    # [corridor, first row, stop row] of the followed rows not yet projected
+    pending: list[list] = []
+    pending_vertices = 0
 
     for lo in range(0, n, retrigger):
         cycle = int(log.cycle[lo])
+        stop = min(lo + retrigger, n)
+        ego = Pose(ex, ey, etheta)
         try:
             corr_full = log.corridor(lo).transformed(log.pose(lo))
             # Node distances are measured from the planning frame, i.e.
@@ -820,21 +857,36 @@ def run_replay(
             replans.append(ReplanRecord(cycle=cycle, reason=exc.reason))
         else:
             path_id += 1
-            active, active_corr, path_s = planned, corr, 0.0
-            segment, local = planned.path.segments[0], 0.0
+            active_corr, locate, end = corr, planned.path.locate, planned.path.length
+            to_global = frame_map(ego)
+            segment, local, path_s = planned.path.segments[0], 0.0, 0.0
             replans.append(ReplanRecord(cycle=cycle, path=planned, curvature_input=kbar, offsets=node_offsets))
-        block = slice(lo, min(lo + retrigger, n))
-        path_ids[block] = path_id
-        for i in range(lo, block.stop):
-            xs[i], ys[i], thetas[i] = ego.x, ego.y, ego.theta
-            if active is not None:
-                # the curvature at the station the previous step reached
-                kappas[i] = segment.curvature_at(local)
-                path_s = min(path_s + float(log.speed[i]) * log.sample_time, active.path.length)
-                segment, local = active.path.locate(path_s)
-                ego = from_planning_frame(segment.pose_at(local), active.frame)
-        if active is not None:
-            _, offsets[block] = active_corr.project_many(xs[block], ys[block])
+        path_ids[lo:stop] = path_id
+        if active_corr is None:
+            xs[lo:stop], ys[lo:stop], thetas[lo:stop] = ex, ey, etheta
+            continue
+        for i in range(lo, stop):
+            xs[i], ys[i], thetas[i] = ex, ey, etheta
+            # the curvature at the station the previous step reached
+            kappas[i] = segment.curvature_at(local)
+            path_s += speeds[i] * dt
+            if path_s > end:
+                path_s = end
+            segment, local = locate(path_s)
+            lx, ly, ltheta = segment.pose_floats_at(local)
+            # the poses of the two frames each wrap their heading
+            ex, ey, etheta = to_global(lx, ly, wrap_angle(ltheta))
+            etheta = wrap_angle(etheta)
+            if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(etheta)):
+                raise ValueError("pose components must be finite")
+        if pending and pending[-1][0] is active_corr:
+            pending[-1][2] = stop
+        else:
+            pending.append([active_corr, lo, stop])
+            pending_vertices += len(active_corr)
+        if pending_vertices >= _PROJECT_VERTICES or stop == n:
+            _project_pending(pending, xs, ys, offsets)
+            pending_vertices = 0
     if path_id < 0:
         reasons = Counter(rec.reason for rec in replans)
         raise ReplayError(f"replay produced no valid plan at any of {len(replans)} retriggers: {dict(reasons)}")

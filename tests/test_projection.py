@@ -1,6 +1,7 @@
 """Batched point-to-polyline projection against its references: the scalar
-Corridor.project, a brute-force minimum over all segments, and the replay's
-per-cycle offsets measured one point at a time."""
+Corridor.project, a brute-force minimum over all segments, the replay's
+per-cycle offsets measured one point at a time, and for several polylines
+in one call, one call per polyline."""
 
 import numpy as np
 import pytest
@@ -101,3 +102,91 @@ class TestReplayOffsets:
         assert checked == len(log) - plans[0].cycle
         assert np.all(np.isnan(trace.offset[: plans[0].cycle]))
 
+
+def _many_against_one_per_polyline(lines, px, py, line):
+    """The many-polyline call against one call per polyline, bit for bit;
+    returns the many-polyline result."""
+    starts = np.cumsum([0] + [len(x) for x, _ in lines[:-1]])
+    got = project_to_polyline(
+        np.concatenate([x for x, _ in lines]), np.concatenate([y for _, y in lines]), px, py, starts, line
+    )
+    assert got[0].size == px.size
+    for k, (x, y) in enumerate(lines):
+        mine = line == k
+        seg, t, signed = project_to_polyline(x, y, px[mine], py[mine])
+        assert (got[0][mine] - starts[k]).tobytes() == seg.tobytes()
+        assert got[1][mine].tobytes() == t.tobytes()
+        assert got[2][mine].tobytes() == signed.tobytes()
+    return got
+
+
+def _points_near(lines, per_line, rng):
+    """Points scattered around each polyline, beyond both ends too, with
+    each point's polyline index."""
+    px, py, line = [], [], []
+    for k, (x, y) in enumerate(lines):
+        pick = rng.integers(0, len(x), per_line)
+        px.append(x[pick] + rng.uniform(-3.0, 3.0, per_line))
+        py.append(y[pick] + rng.uniform(-3.0, 3.0, per_line))
+        line.append(np.full(per_line, k))
+    return np.concatenate(px), np.concatenate(py), np.concatenate(line)
+
+
+class TestManyPolylines:
+    """project_to_polyline over concatenated polylines, each point onto its own."""
+
+    @pytest.fixture(scope="class")
+    def replay_like(self, curved_corridor):
+        """Nearly coincident corridors, as consecutive replans give: the
+        same one twice, a window of it and a slightly moved copy."""
+        c = curved_corridor
+        moved = c.transformed(Pose(0.4, -0.05, 1e-3))
+        return [(c.x, c.y), (c.x, c.y), (c.x[37:], c.y[37:]), (moved.x, moved.y)]
+
+    def test_identical_and_overlapping_polylines(self, replay_like):
+        px, py, line = _points_near(replay_like, 120, np.random.default_rng(5))
+        _many_against_one_per_polyline(replay_like, px, py, line)
+
+    def test_two_vertex_polylines(self):
+        lines = [
+            (np.array([0.0, 10.0]), np.array([0.0, 0.0])),
+            (np.array([0.0, 10.0]), np.array([1.0, 1.5])),
+            (np.array([3.0, 3.0]), np.array([-4.0, 6.0])),
+        ]
+        px, py, line = _points_near(lines, 40, np.random.default_rng(8))
+        px = np.concatenate((px, [-5.0, 15.0, 3.0]))
+        py = np.concatenate((py, [0.3, 1.2, 9.0]))
+        line = np.concatenate((line, [0, 1, 2]))
+        _, t, _ = _many_against_one_per_polyline(lines, px, py, line)
+        assert t[-3:].tolist() == [0.0, 1.0, 1.0]
+
+    def test_point_nearest_to_another_polylines_vertex(self):
+        x = np.linspace(0.0, 50.0, 101)
+        lines = [(x, np.zeros_like(x)), (x, np.full_like(x, 0.5))]
+        px = np.array([10.1, 20.0, 30.3])
+        py = np.array([0.45, 0.49, 0.02])
+        line = np.array([0, 0, 1])
+        _, _, signed = _many_against_one_per_polyline(lines, px, py, line)
+        np.testing.assert_allclose(signed, [0.45, 0.49, -0.48], rtol=0.0, atol=1e-12)
+
+    def test_utm_scale_coordinates(self, replay_like):
+        shifted = [(x + 5e5, y + 5e6) for x, y in replay_like]
+        px, py, line = _points_near(shifted, 80, np.random.default_rng(13))
+        _many_against_one_per_polyline(shifted, px, py, line)
+        near = [(x + 5e5, y + 5e6) for x, y in (
+            (np.linspace(0.0, 50.0, 101), np.zeros(101)), (np.linspace(0.0, 50.0, 101), np.full(101, 0.5)))]
+        _many_against_one_per_polyline(near, np.array([5e5 + 10.1, 5e5 + 30.3]), np.array([5e6 + 0.45, 5e6 + 0.02]),
+                                       np.array([0, 1]))
+
+    def test_no_points(self, replay_like):
+        seg, t, signed = _many_against_one_per_polyline(replay_like, np.empty(0), np.empty(0), np.empty(0, dtype=int))
+        assert seg.size == t.size == signed.size == 0
+
+    def test_nan_point_raises(self, replay_like):
+        (x0, y0), starts = replay_like[0], np.cumsum([0] + [len(x) for x, _ in replay_like[:-1]])
+        px, py = np.array([x0[5], np.nan]), np.array([y0[5], y0[9]])
+        with pytest.raises(ValueError):
+            project_to_polyline(x0, y0, px, py)
+        with pytest.raises(ValueError):
+            project_to_polyline(np.concatenate([x for x, _ in replay_like]), np.concatenate([y for _, y in replay_like]),
+                                px, py, starts, np.array([0, 2]))
