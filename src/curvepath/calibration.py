@@ -53,12 +53,15 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RegressionDataset:
-    """Per-replan node offsets (3xN) and curvature inputs (3xN), and skips per reason."""
+    """Per-replan node offsets and curvature inputs, 3xN for N cycles, and skips per reason."""
 
     offsets: np.ndarray
     inputs: np.ndarray
-    n_cycles: int
     skips: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def n_cycles(self) -> int:
+        return self.offsets.shape[1]
 
     @property
     def skipped(self) -> int:
@@ -67,12 +70,9 @@ class RegressionDataset:
     def __post_init__(self):
         offsets = np.ascontiguousarray(self.offsets, dtype=float)
         inputs = np.ascontiguousarray(self.inputs, dtype=float)
-        if offsets.shape != (3, self.n_cycles) or inputs.shape != (3, self.n_cycles):
-            raise ValueError(
-                f"offset/input matrices must be 3x{self.n_cycles}, got "
-                f"{offsets.shape} and {inputs.shape}"
-            )
-        if self.n_cycles < 1:
+        if offsets.ndim != 2 or offsets.shape[0] != 3 or inputs.shape != offsets.shape:
+            raise ValueError(f"offset/input matrices must both be 3xN, got {offsets.shape} and {inputs.shape}")
+        if offsets.shape[1] < 1:
             raise ValueError("dataset needs at least one cycle")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "inputs", inputs)
@@ -129,7 +129,6 @@ def assemble_dataset(
     return RegressionDataset(
         offsets=np.array(d_cols).T,
         inputs=np.array(u_cols).T,
-        n_cycles=len(u_cols),
         skips=dict(skips),
     )
 
@@ -173,7 +172,7 @@ def fit_gain_matrix(data: RegressionDataset) -> CalibrationResult:
 
 @dataclass(frozen=True, eq=False)
 class NodeDistanceResult:
-    """Averaged optimum, per-window optima with costs, and a flat-cost flag.
+    """Averaged optimum, or the initial one if no window gives one, and per-window optima with costs.
 
     Every window is used (one optimum), flat (its cost landscape is flat,
     as on straight driving) or skipped, counted by reason ("corridor",
@@ -182,9 +181,12 @@ class NodeDistanceResult:
 
     params: NodePointParams
     window_optima: tuple[tuple[float, float, float, float], ...]
-    flat_cost: bool
     skips: dict[str, int]
     flat_windows: int
+
+    @property
+    def flat_cost(self) -> bool:
+        return not self.window_optima
 
     @property
     def skipped_windows(self) -> int:
@@ -346,7 +348,6 @@ def optimize_node_distances(
     return NodeDistanceResult(
         params=params,
         window_optima=tuple(optima),
-        flat_cost=not optima,
         skips=dict(skips),
         flat_windows=flat_windows,
     )

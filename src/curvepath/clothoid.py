@@ -27,7 +27,7 @@ rule returns without sizing anything; rounding dominates what is left.
 
 G1 fitting normalises the problem to the chord frame and reduces it to a
 scalar root-find in the heading-integral parameter, solved by Newton from
-the linearised seed; a Newton solve that fails raises FitConvergenceError.
+the linearised seed; every failed fit raises FitError.
 Of the infinitely many spirals joining two poses, the returned one is the
 branch whose heading never swings more than pi away from the chord
 direction (lane-keeping paths never loop).
@@ -54,21 +54,9 @@ MIN_CHORD_M = 1e-6
 
 
 class FitError(SkipError, RuntimeError):
-    """Base class for G1 fitting failures."""
+    """A G1 fit that gives no segment; the message says why."""
 
     reason = "fit"
-
-
-class DegenerateFitError(FitError):
-    """Endpoints too close together to define a chord."""
-
-
-class FitConvergenceError(FitError):
-    """Root search found no usable root; carries the best residual seen."""
-
-    def __init__(self, message: str, residual: float = math.nan):
-        super().__init__(message)
-        self.residual = residual
 
 
 @functools.lru_cache(maxsize=64)
@@ -220,7 +208,7 @@ def _solve_flattening(phi0: float, phi1: float) -> tuple[float, float]:
     heading bows away from the straight interpolation between the end
     deviations; the linearised solution 3*(phi0 + phi1) is exact for
     straight lines and circular arcs and an excellent Newton seed otherwise.
-    Raises FitConvergenceError when Newton leaves without such a root, which
+    Raises FitError when Newton leaves without such a root, which
     happens only where both ends point back along the chord.
     """
     delta = phi1 - phi0
@@ -238,10 +226,9 @@ def _solve_flattening(phi0: float, phi1: float) -> tuple[float, float]:
         if not math.isfinite(step) or abs(step) > 100.0:
             break
         big_a -= step
-    raise FitConvergenceError(
+    raise FitError(
         f"G1 root search found no root with X > 1e-9 and no loop (phi0={phi0:.6f}, "
-        f"phi1={phi1:.6f}, best residual {best_residual:.3e} at X={best_x:.3e})",
-        residual=best_residual,
+        f"phi1={phi1:.6f}, best residual {best_residual:.3e} at X={best_x:.3e})"
     )
 
 
@@ -250,12 +237,13 @@ def fit_g1(start: Pose, end: Pose) -> ClothoidSegment:
 
     The three unknowns (initial curvature, curvature rate, length) are fixed
     by the endpoint constraints after normalising to the chord frame.
+    Raises FitError when no segment fits, as between coincident or far-apart poses.
     """
     dx = end.x - start.x
     dy = end.y - start.y
     chord = math.hypot(dx, dy)
     if chord < MIN_CHORD_M:
-        raise DegenerateFitError(f"endpoints are coincident (chord {chord:.2e} m)")
+        raise FitError(f"endpoints are coincident (chord {chord:.2e} m)")
     phi = math.atan2(dy, dx)
     phi0 = wrap_angle(start.theta - phi)
     phi1 = wrap_angle(end.theta - phi)
@@ -263,12 +251,15 @@ def fit_g1(start: Pose, end: Pose) -> ClothoidSegment:
 
     big_a, x0 = _solve_flattening(phi0, phi1)
     length = chord / x0
-    return ClothoidSegment(
-        start=start,
-        kappa0=(delta - big_a) / length,
-        kappa_rate=2.0 * big_a / length**2,
-        length=length,
-    )
+    try:
+        return ClothoidSegment(
+            start=start,
+            kappa0=(delta - big_a) / length,
+            kappa_rate=2.0 * big_a / length**2,
+            length=length,
+        )
+    except (OverflowError, ValueError):  # length**2 overflows, or length is infinite
+        raise FitError(f"poses too far apart for a fit (chord {chord:.3e} m)") from None
 
 
 _JOINT_POSITION_TOL = 1e-6
@@ -377,7 +368,7 @@ def fit_composite(node_poses) -> CompositePath:
     for i, (a, b) in enumerate(zip(poses[:-1], poses[1:])):
         try:
             segments.append(fit_g1(a, b))
-        except SkipError as exc:
-            exc.args = (f"segment {i}: {exc}", *exc.args[1:])
+        except FitError as exc:
+            exc.args = (f"segment {i}: {exc}",)
             raise
     return CompositePath(segments=tuple(segments))

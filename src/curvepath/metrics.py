@@ -74,11 +74,14 @@ class VehicleSpec:
 
 @dataclass(frozen=True, eq=False)
 class SafetyReport:
-    border_violation_ratio: float
     min_border_distance: float
     per_segment_min: tuple[float, ...]
     violations: int
     samples: int
+
+    @property
+    def border_violation_ratio(self) -> float:
+        return self.violations / self.samples
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,6 @@ def safety_metrics(
         mask = seg.contains(projected.station)
         per_segment.append(float(border[mask].min()) if np.any(mask) else math.inf)
     return SafetyReport(
-        border_violation_ratio=float(np.mean(violating)),
         min_border_distance=float(border.min()),
         per_segment_min=tuple(per_segment),
         violations=int(np.sum(violating)),

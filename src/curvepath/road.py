@@ -400,11 +400,15 @@ def corridor_from_polynomial(
     y'' / (1 + y'^2)^(3/2), and arc length accumulates chord lengths. The x
     grid, its powers and its steps are cached per (preview, step) as
     read-only arrays; Corridor copies x, so no corridor holds a cached array.
+    Raises CorridorError when a bound on |y'| reaches 1e100, where (1 + y'^2)^1.5 nears overflow.
     """
     if not step > 0:
         raise ValueError("step must be positive")
     xs, xs2, xs3, dx = _sample_grid(poly.preview_length, step)
     c0, c1, c2, c3 = poly.coefficients
+    slope = abs(c1) + poly.preview_length * (abs(c2) + 0.5 * poly.preview_length * abs(c3))
+    if not slope < 1e100:
+        raise CorridorError(f"lane polynomial too steep to sample (slope up to {slope:.3e})")
     # y(x) as LanePolynomial defines it and its first two derivatives
     ys = c0 + c1 * xs + 0.5 * c2 * xs2 + (1.0 / 6.0) * c3 * xs3
     dy = c1 + c2 * xs + 0.5 * c3 * xs2

@@ -2,6 +2,7 @@
 readers that tests share."""
 
 import math
+import re
 
 import numpy as np
 
@@ -95,3 +96,8 @@ def curvature_profile(path, step: float) -> np.ndarray:
     stations = np.linspace(0.0, path.length, n + 1)
     kappas = [seg.curvature_at(local) for seg, local in map(path.locate, stations.tolist())]
     return np.column_stack((stations, kappas))
+
+
+def best_residual(message: str) -> float:
+    """The best residual that a failed Newton solve's FitError message names."""
+    return float(re.search(r"best residual (\S+) at", message).group(1))

@@ -114,9 +114,7 @@ def test_03_calibration_round_trip():
     assert noisy_data.n_cycles >= 2000
 
     def error_at(n):
-        sub = RegressionDataset(
-            offsets=noisy_data.offsets[:, :n], inputs=noisy_data.inputs[:, :n], n_cycles=n
-        )
+        sub = RegressionDataset(offsets=noisy_data.offsets[:, :n], inputs=noisy_data.inputs[:, :n])
         return float(np.linalg.norm(fit_gain_matrix(sub).gains.p - P_TRUE))
 
     ratio = error_at(500) / error_at(2000)

@@ -67,7 +67,7 @@ class TestAssembleDataset:
 
 class TestFitGainMatrix:
     def test_identity_inputs_recover_exactly(self):
-        data = RegressionDataset(offsets=P_TRUE.copy(), inputs=np.eye(3), n_cycles=3)
+        data = RegressionDataset(offsets=P_TRUE.copy(), inputs=np.eye(3))
         result = fit_gain_matrix(data)
         assert np.array_equal(result.gains.p, P_TRUE)
         assert result.residual_rms == pytest.approx(0.0, abs=1e-15)
@@ -82,16 +82,33 @@ class TestFitGainMatrix:
             fit_gain_matrix(assemble_dataset(straight_log))
 
     def test_needs_three_cycles(self):
-        data = RegressionDataset(offsets=np.zeros((3, 2)), inputs=np.eye(3)[:, :2], n_cycles=2)
+        data = RegressionDataset(offsets=np.zeros((3, 2)), inputs=np.eye(3)[:, :2])
         with pytest.raises(ValueError, match="3"):
             fit_gain_matrix(data)
+
+    def test_cycle_count_is_the_column_count(self):
+        data = RegressionDataset(offsets=np.zeros((3, 5)), inputs=np.ones((3, 5)))
+        assert data.n_cycles == 5
+
+    @pytest.mark.parametrize(
+        "offsets, inputs, message",
+        [
+            (np.zeros((3, 4)), np.zeros((3, 5)), "3xN"),
+            (np.zeros((2, 4)), np.zeros((2, 4)), "3xN"),
+            (np.zeros(3), np.zeros(3), "3xN"),
+            (np.zeros((3, 0)), np.zeros((3, 0)), "at least one cycle"),
+        ],
+        ids=["unequal-columns", "two-rows", "vector", "no-cycle"],
+    )
+    def test_dataset_needs_two_3xn_matrices(self, offsets, inputs, message):
+        with pytest.raises(ValueError, match=message):
+            RegressionDataset(offsets=offsets, inputs=inputs)
 
     def test_normal_equation_residual(self, clean_driver_log):
         data = assemble_dataset(clean_driver_log)
         noisy = RegressionDataset(
             offsets=data.offsets + 0.01 * np.random.default_rng(3).standard_normal(data.offsets.shape),
             inputs=data.inputs,
-            n_cycles=data.n_cycles,
         )
         result = fit_gain_matrix(noisy)
         residual = noisy.offsets - result.gains.p @ noisy.inputs
@@ -106,13 +123,12 @@ class TestFitGainMatrix:
         p_b = P_TRUE + 12.0
         d_a = p_a @ inputs
         d_b = p_b @ inputs
-        res_a = fit_gain_matrix(RegressionDataset(offsets=d_a, inputs=inputs, n_cycles=120))
-        res_b = fit_gain_matrix(RegressionDataset(offsets=d_b, inputs=inputs, n_cycles=120))
+        res_a = fit_gain_matrix(RegressionDataset(offsets=d_a, inputs=inputs))
+        res_b = fit_gain_matrix(RegressionDataset(offsets=d_b, inputs=inputs))
         pooled = fit_gain_matrix(
             RegressionDataset(
                 offsets=np.hstack([d_a, d_b]),
                 inputs=np.hstack([inputs, inputs]),
-                n_cycles=240,
             )
         )
         assert pooled.residual_rms > max(res_a.residual_rms, res_b.residual_rms)
@@ -130,7 +146,6 @@ class TestFitGainMatrix:
                 sub = RegressionDataset(
                     offsets=P_TRUE @ inputs[:, :n] + noise,
                     inputs=inputs[:, :n],
-                    n_cycles=n,
                 )
                 errors.append(np.linalg.norm(fit_gain_matrix(sub).gains.p - P_TRUE))
             return np.mean(errors)

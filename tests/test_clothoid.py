@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from curvepath.clothoid import (
     ClothoidSegment,
     CompositePath,
-    DegenerateFitError,
     FitError,
     fit_composite,
     fit_g1,
@@ -78,8 +77,9 @@ class TestFitG1:
         assert abs(wrap_angle(end.theta - target.theta)) < 1e-8
 
     def test_coincident_endpoints(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(FitError, match="coincident") as info:
             fit_g1(Pose(1.0, 1.0, 0.0), Pose(1.0, 1.0, 0.5))
+        assert type(info.value) is FitError
 
     def test_random_problems_close(self):
         rng = np.random.default_rng(11)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from curvepath.metrics import (
     CurveSegment,
+    SafetyReport,
     VehicleSpec,
     detect_curve_segments,
     emit_case_study,
@@ -116,6 +118,16 @@ class TestSafetyMetrics:
         assert report.violations == 1
         assert report.border_violation_ratio == pytest.approx(1.0 / len(stations))
         assert report.min_border_distance == 0.0
+
+    @given(size=st.integers(1, 100_000), data=st.data())
+    def test_ratio_is_the_mean_of_the_violating_samples(self, size, data):
+        """violations / samples is the ratio numpy's mean of the 0/1 sample
+        flags gives, to the bit."""
+        violations = data.draw(st.integers(0, size))
+        violating = np.zeros(size, dtype=bool)
+        violating[:violations] = True
+        ratio = SafetyReport(0.0, (), violations, size).border_violation_ratio
+        assert ratio == float(np.mean(violating))
 
     def test_width_monotonicity(self, straight_road, whole_route_segment):
         rng = np.random.default_rng(3)

@@ -12,7 +12,6 @@ from curvepath.metrics import (
 from helpers import read_report
 
 SAFETY = SafetyReport(
-    border_violation_ratio=0.125,
     min_border_distance=0.4,
     per_segment_min=(0.4,),
     violations=1,

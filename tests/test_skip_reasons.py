@@ -16,7 +16,7 @@ from curvepath.calibration import (
     node_count_tradeoff,
     optimize_node_distances,
 )
-from curvepath.clothoid import DegenerateFitError, FitConvergenceError, FitError
+from curvepath.clothoid import FitError
 from curvepath.planner import DEFAULT_RETRIGGER_CYCLES, GainMatrix, NodePointParams
 from curvepath.road import CorridorError, InsufficientPreviewError, SkipError
 from curvepath.simulate import ReplayError, load_drive_log, run_replay
@@ -44,8 +44,6 @@ def _gap_reasons(trace) -> Counter:
         (CorridorError, "corridor", ValueError),
         (InsufficientPreviewError, "preview", ValueError),
         (FitError, "fit", RuntimeError),
-        (FitConvergenceError, "fit", RuntimeError),
-        (DegenerateFitError, "fit", RuntimeError),
     ],
 )
 def test_each_skip_exception_names_its_reason(error, reason, base):
@@ -71,7 +69,7 @@ def test_replay_gap_names_a_failed_fit(clean_driver_log, monkeypatch):
     def fit_failing_at_the_third_plan(poses):
         calls.append(poses)
         if len(calls) == 3:
-            raise FitConvergenceError("no root")
+            raise FitError("no root")
         return fit_composite(poses)
 
     monkeypatch.setattr(planner, "fit_composite", fit_failing_at_the_third_plan)
@@ -80,6 +78,20 @@ def test_replay_gap_names_a_failed_fit(clean_driver_log, monkeypatch):
     # the first two replans plan, the third reaches its fit and fails there
     assert [(rec.cycle, rec.reason) for rec in gaps if rec.reason == "fit"] == [(FIT_ROW, "fit")]
     assert sum(_gap_reasons(trace).values()) == len(gaps)
+
+
+def test_replay_counts_overflowing_fits_as_fit_gaps(clean_driver_log):
+    """Gains of 1e305 put the nodes of every replan on a curve up to about
+    1e303 m off the midline. Each such fit overflows and is a "fit" gap;
+    the replans on the straight approach, with zero curvature input, plan."""
+    clean = run_replay(clean_driver_log, GainMatrix(P_TRUE), mode="validation")
+    huge = run_replay(clean_driver_log, GainMatrix(1e305 * np.eye(3)), mode="validation")
+    assert not any(rec.gap for rec in clean.replans)
+    curved = [rec.cycle for rec in clean.replans if rec.curvature_input.as_array().any()]
+    assert len(curved) > 20
+    assert [(rec.cycle, rec.reason) for rec in huge.replans if rec.gap] == [(cycle, "fit") for cycle in curved]
+    assert [rec.cycle for rec in huge.replans] == [rec.cycle for rec in clean.replans]
+    assert all(rec.offsets.max_abs() == 0.0 for rec in huge.replans if not rec.gap)
 
 
 def test_dataset_counts_corridor_and_preview(corrupted_log):
@@ -101,7 +113,7 @@ def test_windows_count_no_finite_cost(clean_driver_log, monkeypatch):
 
     def fit_failing_at_one_anchor(poses):
         if poses[0] == failing_anchor:
-            raise FitConvergenceError("no root")
+            raise FitError("no root")
         return fit_composite(poses)
 
     clean = optimize_node_distances(clean_driver_log, NodePointParams(), window=120, stride=120)
