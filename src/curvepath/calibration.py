@@ -28,6 +28,7 @@ from .planner import (
     average_curvatures,
 )
 from .road import (
+    PROJECT_VERTICES,
     Corridor,
     SkipError,
     offset_point,
@@ -218,8 +219,10 @@ def _sample_intervals(length: float) -> int:
     return max(2, int(math.ceil(round(length, 9))))
 
 
-def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose) -> float:
-    """Mean distance between the recorded points and the fitted path.
+def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits=None):
+    """Points (px, py) sampled at most a metre apart along the path fitted
+    for candidate node distances, or None when the distances are out of
+    order or past the horizon, or the fit fails.
 
     The path is fitted through node points placed on the recorded drive
     (positions from the drive, orientations from the road) and, because the
@@ -227,24 +230,73 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose) -> fl
     last Euler curve so every recorded point inside the horizon is scored.
     Without the continuation, trivially short node placements explain their
     own tiny span perfectly and the cost loses all pressure on the far node.
+    `fits` is the window's memo of pose-pair fits (see fit_composite).
     """
     d_near, d_mid, d_far = distances
     horizon = stations[-1]  # the kept stations rise, so this is the farthest
     if not (0.0 < d_near < d_mid < d_far <= horizon):
-        return math.inf
+        return None
     measured = np.interp(distances, stations, offsets).tolist()
     node_poses = map(offset_point, corridor.poses_at(distances), measured)
     try:
-        path = fit_composite((anchor_pose, *node_poses))
+        path = fit_composite((anchor_pose, *node_poses), fits=fits)
     except SkipError:
-        return math.inf
+        return None
     last = path.segments[-1]
     tail = horizon - d_far + 1.0
     extended = CompositePath(path.segments[:-1] + (replace(last, length=last.length + tail),))
     n = _sample_intervals(extended.length)
     px, py, _ = extended.sample(np.linspace(0.0, extended.length, n + 1))
-    _, _, signed = project_to_polyline(px, py, pts[:, 0], pts[:, 1])
+    return px, py
+
+
+def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, fits=None) -> float:
+    """Mean distance between the recorded points and the candidate's path
+    (see _candidate_path), inf without a path."""
+    sampled = _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits)
+    if sampled is None:
+        return math.inf
+    _, _, signed = project_to_polyline(*sampled, pts[:, 0], pts[:, 1])
     return float(np.mean(np.abs(signed)))
+
+
+def _grid_costs(paths, pts) -> list[float]:
+    """_window_cost of each of the sampled paths (inf for None), bit for bit.
+
+    The paths go through project_to_polyline in chunks, one call per chunk,
+    with the recorded points repeated against each path of the chunk. A
+    chunk ends once its paths hold PROJECT_VERTICES vertices.
+    """
+    costs, chunk, vertices = [], [], 0
+    for path in paths:
+        costs.append(math.inf)
+        if path is not None:
+            chunk.append((len(costs) - 1, *path))
+            vertices += path[0].size
+        if vertices >= PROJECT_VERTICES:
+            _score_chunk(chunk, pts, costs)
+            chunk, vertices = [], 0
+    if chunk:
+        _score_chunk(chunk, pts, costs)
+    return costs
+
+
+def _score_chunk(chunk, pts, costs: list[float]) -> None:
+    """Each chunk path's mean distance to the recorded points, into costs at
+    its index, from one projection."""
+    m = len(pts)
+    xs = [x for _, x, _ in chunk]
+    _, _, signed = project_to_polyline(
+        np.concatenate(xs),
+        np.concatenate([y for _, _, y in chunk]),
+        np.tile(pts[:, 0], len(chunk)),
+        np.tile(pts[:, 1], len(chunk)),
+        np.cumsum([0] + [x.size for x in xs[:-1]]),
+        np.repeat(np.arange(len(chunk)), m),
+    )
+    distances = np.abs(signed)
+    for j, (k, _, _) in enumerate(chunk):
+        costs[k] = float(np.mean(distances[j * m:(j + 1) * m]))
 
 
 _FLAT_COST_EPS = 1e-4
@@ -271,6 +323,9 @@ def optimize_node_distances(
     with a flat cost landscape (straight driving) are left out and counted
     as flat, and if every window is flat or skipped, with at least one
     flat, the initial guess is returned flagged.
+
+    Each window fits a pose pair once: its grid and its search share one
+    memo of fits. The grid's paths are projected in chunks (_grid_costs).
     """
     if window < 2:
         raise ValueError("window must span at least 2 samples")
@@ -295,21 +350,30 @@ def optimize_node_distances(
             continue
         anchor_pose = log.pose(anchor)
         horizon = stations[-1]
+        fits = {}
+
+        def tiebroken(raw, cand):
+            return raw + _PREVIEW_TIEBREAK * (horizon - cand[2])
 
         def scored(cand):
-            raw = _window_cost(cand, corridor, pts, stations, offsets, anchor_pose)
-            return raw, raw + _PREVIEW_TIEBREAK * (horizon - cand[2])
+            raw = _window_cost(cand, corridor, pts, stations, offsets, anchor_pose, fits)
+            return raw, tiebroken(raw, cand)
 
+        grid = [
+            (dn, dm, df)
+            for dn in grid_near
+            for dm in np.arange(dn + grid_step, min(90.0, horizon), 2.0 * grid_step)
+            for df in np.arange(dm + 2.0 * grid_step, horizon + 1e-9, 4.0 * grid_step)
+        ]
+        paths = (_candidate_path(cand, corridor, stations, offsets, anchor_pose, fits) for cand in grid)
         best = (math.inf, math.inf, None)
         costs = []
-        for dn in grid_near:
-            for dm in np.arange(dn + grid_step, min(90.0, horizon), 2.0 * grid_step):
-                for df in np.arange(dm + 2.0 * grid_step, horizon + 1e-9, 4.0 * grid_step):
-                    raw, adjusted = scored((dn, dm, df))
-                    if math.isfinite(raw):
-                        costs.append(raw)
-                        if adjusted < best[1]:
-                            best = (raw, adjusted, (dn, dm, df))
+        for cand, raw in zip(grid, _grid_costs(paths, pts)):
+            if math.isfinite(raw):
+                costs.append(raw)
+                adjusted = tiebroken(raw, cand)
+                if adjusted < best[1]:
+                    best = (raw, adjusted, cand)
         if not costs:
             skips["no_finite_cost"] += 1
             continue
@@ -417,16 +481,21 @@ def node_count_tradeoff(
                 best[i, j] = min(best[i, j], time.perf_counter() - t0)
     times = [float(t) for t in best.mean(axis=1)]
 
-    # the plans are deterministic, so the last repeat's paths are scored
-    errors = []
-    for row in paths:
-        per_replan_err = []
-        for corridor, path in zip(corridors, row):
+    # the plans are deterministic, so the last repeat's paths are scored,
+    # all counts' paths of a corridor in one projection
+    per_replan_err = [[] for _ in counts]
+    for j, corridor in enumerate(corridors):
+        samples = []
+        for row in paths:
+            path = row[j]
             n = _sample_intervals(path.length)
-            px, py, _ = path.sample(np.linspace(0.0, path.length, n + 1))
-            _, offsets = corridor.project_many(px, py)
-            per_replan_err.append(float(np.mean(np.abs(offsets))))
-        errors.append(float(np.mean(per_replan_err)))
+            samples.append(path.sample(np.linspace(0.0, path.length, n + 1))[:2])
+        _, offsets = corridor.project_many(*(np.concatenate(axis) for axis in zip(*samples)))
+        bounds = np.cumsum([0] + [px.size for px, _ in samples]).tolist()
+        distances = np.abs(offsets)
+        for err, lo, hi in zip(per_replan_err, bounds, bounds[1:]):
+            err.append(float(np.mean(distances[lo:hi])))
+    errors = [float(np.mean(err)) for err in per_replan_err]
 
     err_max = max(errors) if max(errors) > 0 else 1.0
     time_max = max(times)

@@ -359,15 +359,36 @@ class CompositePath:
         )
 
 
-def fit_composite(node_poses) -> CompositePath:
-    """Fit one Euler curve between each consecutive pose pair."""
+def _fit_once(fits: dict, start: Pose, end: Pose) -> ClothoidSegment:
+    """fit_g1(start, end) through the memo `fits` (see fit_composite)."""
+    fit = fits.get((start, end))
+    if fit is None:
+        try:
+            fit = fit_g1(start, end)
+        except FitError as exc:
+            fit = str(exc)
+        fits[start, end] = fit
+    if isinstance(fit, str):
+        raise FitError(fit)
+    return fit
+
+
+def fit_composite(node_poses, fits: dict | None = None) -> CompositePath:
+    """Fit one Euler curve between each consecutive pose pair.
+
+    `fits` is an optional memo that the caller owns, from a (start, end)
+    pose pair to its segment or to its failed fit's message. A pair found
+    there is not fitted again, and a failure found there raises a new
+    FitError.
+    """
     poses = list(node_poses)
     if len(poses) < 2:
         raise ValueError("need at least two node poses")
+    fit = fit_g1 if fits is None else functools.partial(_fit_once, fits)
     segments = []
     for i, (a, b) in enumerate(zip(poses[:-1], poses[1:])):
         try:
-            segments.append(fit_g1(a, b))
+            segments.append(fit(a, b))
         except FitError as exc:
             exc.args = (f"segment {i}: {exc}",)
             raise

@@ -115,6 +115,25 @@ def from_planning_frame(local_pose: Pose, frame: PlanningFrame) -> Pose:
     return Pose(*frame_map(frame.origin)(local_pose.x, local_pose.y, local_pose.theta))
 
 
+# the vertices a caller gathers for one project_to_polyline call over many
+# polylines: about ten corridors, or twenty sampled paths. One call for all
+# of them would keep every polyline and its tree alive at once
+PROJECT_VERTICES = 3000
+
+# coordinates, in metres, up to which a projection's squares and ratios stay
+# far from overflow
+_COORDINATE_LIMIT_M = 1e100
+
+
+def _check_reach(reach: float) -> None:
+    """Raise CoordinateRangeError unless reach, a bound on the magnitude of
+    every coordinate a projection uses, is below the limit; nan is not."""
+    if not reach < _COORDINATE_LIMIT_M:
+        raise CoordinateRangeError(
+            f"coordinates reach {reach:.3e} m, past the {_COORDINATE_LIMIT_M:.0e} m a projection can square"
+        )
+
+
 def project_to_polyline(x, y, px, py, starts=None, line=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project points (px, py) onto the polyline through (x, y).
 
@@ -132,11 +151,15 @@ def project_to_polyline(x, y, px, py, starts=None, line=None) -> tuple[np.ndarra
     its own polyline. Per point the result is bit for bit that of a call
     with its polyline alone, unless the point lies exactly as far from two
     vertices, a tie the two trees may break differently.
+
+    A coordinate of 1e100 m or more, or a non-finite one, raises
+    CoordinateRangeError before any arithmetic on it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
+    _check_reach(np.abs(np.concatenate((x, y, px, py))).max())
     if starts is None:
         first, last = 0, x.size - 2
         _, nearest = cKDTree(np.column_stack((x, y))).query(np.column_stack((px, py)))
@@ -144,8 +167,7 @@ def project_to_polyline(x, y, px, py, starts=None, line=None) -> tuple[np.ndarra
         starts = np.asarray(starts, dtype=np.intp)
         line = np.asarray(line, dtype=np.intp)
         first, last = starts[line], np.append(starts[1:], x.size)[line] - 2
-        # twice the diameter of the bounding box: a nan or inf point makes it
-        # nan, and the tree rejects it
+        # twice the diameter of the bounding box
         separation = 2.0 * math.hypot(np.ptp(np.concatenate((x, px))), np.ptp(np.concatenate((y, py)))) + 1.0
         z = np.repeat(np.arange(starts.size) * separation, np.diff(starts, append=x.size))
         _, nearest = cKDTree(np.column_stack((x, y, z))).query(np.column_stack((px, py, line * separation)))
@@ -182,6 +204,12 @@ class InsufficientPreviewError(SkipError, ValueError):
     """A station past the end of the corridor: the preview is too short."""
 
     reason = "preview"
+
+
+class CoordinateRangeError(SkipError, ValueError):
+    """A point or polyline too far out to project, or not finite."""
+
+    reason = "coordinates"
 
 
 # Loose per-step consistency bound between heading increments and integrated
@@ -349,8 +377,11 @@ class Corridor:
         """Project a point onto the midline polyline.
 
         Returns (station, signed offset); the offset is positive when the
-        point lies left of the midline.
+        point lies left of the midline. The coordinates are bounded as in
+        project_to_polyline, in O(1): no vertex lies farther than the arc
+        length from the first.
         """
+        _check_reach(abs(float(px)) + abs(float(py)) + abs(float(self.x[0])) + abs(float(self.y[0])) + self.length)
         i = int(np.argmin((self.x - px) ** 2 + (self.y - py) ** 2))
         best = None
         for a in (i - 1, i):

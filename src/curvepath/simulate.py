@@ -41,6 +41,7 @@ from .road import (
     DEFAULT_CORRIDOR_STEP_M,
     DEFAULT_LANE_WIDTH_M,
     DEFAULT_PREVIEW_M,
+    PROJECT_VERTICES,
     Corridor,
     InsufficientPreviewError,
     LanePolynomial,
@@ -765,12 +766,6 @@ class SimTrace:
         write_json(path, records)
 
 
-# followed corridor vertices that replay gathers before it projects their
-# rows in one call: about ten corridors. One call per replay would keep
-# every corridor of a retrigger-1 replay and its tree alive at once
-_PROJECT_VERTICES = 3000
-
-
 def _project_pending(pending: list[list], xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> None:
     """Offsets of the pending rows, each from its own corridor, in one
     projection; empties pending. Its rows are consecutive, from the first
@@ -884,7 +879,7 @@ def run_replay(
         else:
             pending.append([active_corr, lo, stop])
             pending_vertices += len(active_corr)
-        if pending_vertices >= _PROJECT_VERTICES or stop == n:
+        if pending_vertices >= PROJECT_VERTICES or stop == n:
             _project_pending(pending, xs, ys, offsets)
             pending_vertices = 0
     if path_id < 0:

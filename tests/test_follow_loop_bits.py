@@ -94,7 +94,7 @@ def test_offsets_match_one_projection_per_block(gapped_log, mode, retrigger, bud
     """With the vertex budget as it is, at about two corridors and at one
     vertex, so that every block ends a chunk."""
     if budget is not None:
-        monkeypatch.setattr(simulate, "_PROJECT_VERTICES", budget)
+        monkeypatch.setattr(simulate, "PROJECT_VERTICES", budget)
     chunk_rows = []
 
     def counted(x, y, px, py, starts, line):

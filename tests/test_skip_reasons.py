@@ -111,7 +111,7 @@ def test_windows_count_no_finite_cost(clean_driver_log, monkeypatch):
     fit_composite = calibration.fit_composite
     failing_anchor = clean_driver_log.pose(120)
 
-    def fit_failing_at_one_anchor(poses):
+    def fit_failing_at_one_anchor(poses, fits=None):
         if poses[0] == failing_anchor:
             raise FitError("no root")
         return fit_composite(poses)
