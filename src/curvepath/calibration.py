@@ -27,13 +27,7 @@ from .planner import (
     NodePointParams,
     average_curvatures,
 )
-from .road import (
-    PROJECT_VERTICES,
-    Corridor,
-    SkipError,
-    offset_point,
-    project_to_polyline,
-)
+from .road import ChunkedProjection, Corridor, SkipError, offset_point, project_to_polyline
 from .simulate import DriveLog, extract_measured_offsets
 
 _SVD_REL_TOL = 1e-10
@@ -261,42 +255,19 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, fits=
 
 
 def _grid_costs(paths, pts) -> list[float]:
-    """_window_cost of each of the sampled paths (inf for None), bit for bit.
-
-    The paths go through project_to_polyline in chunks, one call per chunk,
-    with the recorded points repeated against each path of the chunk. A
-    chunk ends once its paths hold PROJECT_VERTICES vertices.
-    """
-    costs, chunk, vertices = [], [], 0
+    """_window_cost of each of the sampled paths (inf for None), bit for bit,
+    with the paths projected in chunks (road.ChunkedProjection)."""
+    means = []
+    projection = ChunkedProjection(lambda signed: means.append(float(np.abs(signed).mean())))
+    px, py = pts.T
+    scored = []
     for path in paths:
-        costs.append(math.inf)
+        scored.append(path is not None)
         if path is not None:
-            chunk.append((len(costs) - 1, *path))
-            vertices += path[0].size
-        if vertices >= PROJECT_VERTICES:
-            _score_chunk(chunk, pts, costs)
-            chunk, vertices = [], 0
-    if chunk:
-        _score_chunk(chunk, pts, costs)
-    return costs
-
-
-def _score_chunk(chunk, pts, costs: list[float]) -> None:
-    """Each chunk path's mean distance to the recorded points, into costs at
-    its index, from one projection."""
-    m = len(pts)
-    xs = [x for _, x, _ in chunk]
-    _, _, signed = project_to_polyline(
-        np.concatenate(xs),
-        np.concatenate([y for _, _, y in chunk]),
-        np.tile(pts[:, 0], len(chunk)),
-        np.tile(pts[:, 1], len(chunk)),
-        np.cumsum([0] + [x.size for x in xs[:-1]]),
-        np.repeat(np.arange(len(chunk)), m),
-    )
-    distances = np.abs(signed)
-    for j, (k, _, _) in enumerate(chunk):
-        costs[k] = float(np.mean(distances[j * m:(j + 1) * m]))
+            projection.add(*path, px, py)
+    projection.flush()
+    means = iter(means)
+    return [next(means) if found else math.inf for found in scored]
 
 
 _FLAT_COST_EPS = 1e-4
@@ -325,7 +296,8 @@ def optimize_node_distances(
     flat, the initial guess is returned flagged.
 
     Each window fits a pose pair once: its grid and its search share one
-    memo of fits. The grid's paths are projected in chunks (_grid_costs).
+    memo of fits. The grid's paths are projected in chunks
+    (road.ChunkedProjection); the search projects one path per call.
     """
     if window < 2:
         raise ValueError("window must span at least 2 samples")

@@ -115,22 +115,22 @@ def from_planning_frame(local_pose: Pose, frame: PlanningFrame) -> Pose:
     return Pose(*frame_map(frame.origin)(local_pose.x, local_pose.y, local_pose.theta))
 
 
-# the vertices a caller gathers for one project_to_polyline call over many
-# polylines: about ten corridors, or twenty sampled paths. One call for all
-# of them would keep every polyline and its tree alive at once
+# the vertices ChunkedProjection gathers for one project_to_polyline call:
+# about ten corridors, or twenty sampled paths. One call for all of them
+# would keep every polyline and its tree alive at once
 PROJECT_VERTICES = 3000
 
-# coordinates, in metres, up to which a projection's squares and ratios stay
-# far from overflow
-_COORDINATE_LIMIT_M = 1e100
+# coordinates, in metres, up to which a projection's squares and ratios, and
+# the gain solve's products of recorded offsets, stay far from overflow
+COORDINATE_LIMIT_M = 1e100
 
 
 def _check_reach(reach: float) -> None:
     """Raise CoordinateRangeError unless reach, a bound on the magnitude of
     every coordinate a projection uses, is below the limit; nan is not."""
-    if not reach < _COORDINATE_LIMIT_M:
+    if not reach < COORDINATE_LIMIT_M:
         raise CoordinateRangeError(
-            f"coordinates reach {reach:.3e} m, past the {_COORDINATE_LIMIT_M:.0e} m a projection can square"
+            f"coordinates reach {reach:.3e} m, past the {COORDINATE_LIMIT_M:.0e} m a projection can square"
         )
 
 
@@ -186,6 +186,44 @@ def project_to_polyline(x, y, px, py, starts=None, line=None) -> tuple[np.ndarra
     vx, vy = vx[pick, cols], vy[pick, cols]
     cross = vx * (py - y[seg]) - vy * (px - x[seg])
     return seg, t, np.copysign(np.sqrt(d2), cross)
+
+
+class ChunkedProjection:
+    """Signed distances of many (polyline, points) pairs, projected in chunks.
+
+    add() gathers a polyline through (x, y) and its points (px, py). Once
+    the gathered polylines hold PROJECT_VERTICES vertices, they go through
+    one many-polyline project_to_polyline call; flush() projects the rest.
+    Each pair's signed distances go to `each` in the order the pairs were
+    added, as soon as its chunk is projected, bit for bit those of a call
+    with its polyline alone (up to the ties project_to_polyline names).
+    """
+
+    def __init__(self, each):
+        self._each = each
+        self._pairs = []
+        self._vertices = 0
+
+    def add(self, x, y, px, py) -> None:
+        self._pairs.append((x, y, px, py))
+        self._vertices += len(x)
+        if self._vertices >= PROJECT_VERTICES:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._pairs:
+            return
+        xs, ys, pxs, pys = zip(*self._pairs)
+        self._pairs, self._vertices = [], 0
+        sizes = [len(px) for px in pxs]
+        _, _, signed = project_to_polyline(
+            *map(np.concatenate, (xs, ys, pxs, pys)),
+            np.cumsum([0] + [len(x) for x in xs[:-1]]),
+            np.repeat(np.arange(len(xs)), sizes),
+        )
+        bounds = np.cumsum([0] + sizes).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            self._each(signed[lo:hi])
 
 
 class SkipError(Exception):

@@ -41,7 +41,9 @@ from .road import (
     DEFAULT_CORRIDOR_STEP_M,
     DEFAULT_LANE_WIDTH_M,
     DEFAULT_PREVIEW_M,
-    PROJECT_VERTICES,
+    COORDINATE_LIMIT_M,
+    ChunkedProjection,
+    CoordinateRangeError,
     Corridor,
     InsufficientPreviewError,
     LanePolynomial,
@@ -50,7 +52,6 @@ from .road import (
     SkipError,
     corridor_from_polynomial,
     frame_map,
-    project_to_polyline,
     wrap_angle,
 )
 
@@ -699,9 +700,15 @@ def extract_measured_offsets(log: DriveLog, row: int, params: NodePointParams) -
     Reads the perceived midline offset channel (the polynomial intercept) of
     the rows nearest to each node distance; the intercept is the signed
     perpendicular distance of the midline from the vehicle, so its negation
-    is the vehicle's offset, positive left.
+    is the vehicle's offset, positive left. An intercept of 1e100 m or more
+    (COORDINATE_LIMIT_M) raises CoordinateRangeError naming its cycle, so
+    the replan that reads it is skipped before a solve can overflow.
     """
     rows = node_row_indices(log, row, params.distances)
+    for j in rows:
+        if not abs(log.c0[j]) < COORDINATE_LIMIT_M:
+            raise CoordinateRangeError(f"lane offset c0 = {log.c0[j]:.3e} m at cycle {log.cycle[j]}, a node point of "
+                                       f"cycle {log.cycle[row]}, reaches the {COORDINATE_LIMIT_M:.0e} m limit")
     return OffsetVector(*(-float(log.c0[j]) for j in rows))
 
 
@@ -728,8 +735,8 @@ class SimTrace:
     (see metrics.project_onto); offset is measured against the perceived
     midline of the plan active in the row's block (the most recent replan
     that was not a gap), and is NaN before the first plan. Replay projects
-    a chunk of blocks per call, which leaves each offset as one projection
-    per block gives it, bit for bit.
+    its blocks through road.ChunkedProjection, which leaves each offset as
+    one projection per block gives it, bit for bit.
     """
 
     cycle: np.ndarray
@@ -766,23 +773,6 @@ class SimTrace:
         write_json(path, records)
 
 
-def _project_pending(pending: list[list], xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> None:
-    """Offsets of the pending rows, each from its own corridor, in one
-    projection; empties pending. Its rows are consecutive, from the first
-    entry's first row to the last entry's stop row."""
-    corridors = [corr for corr, _, _ in pending]
-    rows = slice(pending[0][1], pending[-1][2])
-    _, _, offsets[rows] = project_to_polyline(
-        np.concatenate([corr.x for corr in corridors]),
-        np.concatenate([corr.y for corr in corridors]),
-        xs[rows],
-        ys[rows],
-        np.cumsum([0] + [len(corr) for corr in corridors[:-1]]),
-        np.repeat(np.arange(len(corridors)), [stop - first for _, first, stop in pending]),
-    )
-    pending.clear()
-
-
 def run_replay(
     log: DriveLog,
     gains: GainMatrix,
@@ -800,9 +790,8 @@ def run_replay(
     no valid corridor or whose fit fails keeps the previous path active and
     is recorded as a gap with its reason. Each row's offset is measured
     against the corridor of the plan active in its block. The loop follows
-    each station once, in floats, and projects the rows of the blocks
-    followed since the last projection in one call once their corridors
-    hold about 3000 vertices (about ten corridors), and at the end.
+    each station once, in floats, and hands each followed block's corridor
+    and rows to one road.ChunkedProjection.
     """
     if mode not in ("validation", "estimation"):
         raise ValueError(f"mode must be 'validation' or 'estimation', got {mode!r}")
@@ -825,9 +814,10 @@ def run_replay(
     offsets = np.full(n, np.nan)
     kappas = np.full(n, np.nan)
     path_ids = np.full(n, -1, dtype=np.int64)
-    # [corridor, first row, stop row] of the followed rows not yet projected
-    pending: list[list] = []
-    pending_vertices = 0
+    # the followed rows' offsets, block by block: those rows run from the
+    # first plan's cycle to the end of the log
+    followed: list[np.ndarray] = []
+    projection = ChunkedProjection(followed.append)
 
     for lo in range(0, n, retrigger):
         cycle = int(log.cycle[lo])
@@ -874,17 +864,13 @@ def run_replay(
             etheta = wrap_angle(etheta)
             if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(etheta)):
                 raise ValueError("pose components must be finite")
-        if pending and pending[-1][0] is active_corr:
-            pending[-1][2] = stop
-        else:
-            pending.append([active_corr, lo, stop])
-            pending_vertices += len(active_corr)
-        if pending_vertices >= PROJECT_VERTICES or stop == n:
-            _project_pending(pending, xs, ys, offsets)
-            pending_vertices = 0
+        projection.add(active_corr.x, active_corr.y, xs[lo:stop], ys[lo:stop])
     if path_id < 0:
         reasons = Counter(rec.reason for rec in replans)
         raise ReplayError(f"replay produced no valid plan at any of {len(replans)} retriggers: {dict(reasons)}")
+    projection.flush()
+    measured = np.concatenate(followed)
+    offsets[n - measured.size:] = measured
     return SimTrace(
         cycle=log.cycle.copy(),
         x=xs,

@@ -1,7 +1,7 @@
-"""A point or polyline too far out to project raises CoordinateRangeError
-before numpy warns, so one absurd recorded position costs one counted
-window in identification and one counted gap in replay, under the suite's
-error::RuntimeWarning filter."""
+"""A point or polyline too far out to project, or a node row's intercept
+too far out to read, raises CoordinateRangeError before numpy warns, so one
+absurd recorded position costs one counted window in identification and
+one counted gap in replay, under the suite's error::RuntimeWarning filter."""
 
 import dataclasses
 import json
@@ -14,10 +14,12 @@ from curvepath import cli
 from curvepath.calibration import optimize_node_distances
 from curvepath.planner import NodePointParams
 from curvepath.road import CoordinateRangeError, LanePolynomial, Pose, corridor_from_polynomial, project_to_polyline
+from curvepath.simulate import extract_measured_offsets
 
 from conftest import P_TRUE
 
 REPLAN_ROW = 300  # a replan row on the S-curve at the default retrigger of 30
+NODE_ROW = 278  # the near node row of the replan at row 270
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,15 @@ def test_one_far_point_costs_one_window(clean_driver_log):
     assert got.skipped_windows == clean.skipped_windows + 1
     assert got.window_optima and set(got.window_optima) <= set(clean.window_optima)
     assert len(got.window_optima) + got.flat_windows == len(clean.window_optima) + clean.flat_windows - 1
+
+
+@pytest.mark.parametrize("c0", [1e308, -1e100])
+def test_a_far_node_intercept_raises_naming_its_cycle(clean_driver_log, c0):
+    with pytest.raises(CoordinateRangeError, match="at cycle 278, a node point of cycle 270") as exc:
+        extract_measured_offsets(_with_cell(clean_driver_log, "c0", NODE_ROW, c0), 270, NodePointParams())
+    assert exc.value.reason == "coordinates"
+    near = extract_measured_offsets(_with_cell(clean_driver_log, "c0", NODE_ROW, 9.9e99), 270, NodePointParams())
+    assert near.as_array()[0] == -9.9e99
 
 
 @pytest.fixture(scope="module")

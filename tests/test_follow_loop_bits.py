@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from curvepath import simulate
+from curvepath import road
 from curvepath.planner import GainMatrix
 from curvepath.road import from_planning_frame, project_to_polyline
 from curvepath.simulate import run_replay
@@ -94,7 +94,7 @@ def test_offsets_match_one_projection_per_block(gapped_log, mode, retrigger, bud
     """With the vertex budget as it is, at about two corridors and at one
     vertex, so that every block ends a chunk."""
     if budget is not None:
-        monkeypatch.setattr(simulate, "PROJECT_VERTICES", budget)
+        monkeypatch.setattr(road, "PROJECT_VERTICES", budget)
     chunk_rows = []
 
     def counted(x, y, px, py, starts, line):
@@ -102,7 +102,7 @@ def test_offsets_match_one_projection_per_block(gapped_log, mode, retrigger, bud
         return project_to_polyline(x, y, px, py, starts, line)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simulate, "project_to_polyline", counted)
+        patch.setattr(road, "project_to_polyline", counted)
         trace = run_replay(gapped_log, GainMatrix(P_TRUE), retrigger=retrigger, mode=mode)
     want = reference_offsets(gapped_log, trace, retrigger)
     assert trace.offset.tobytes() == want.tobytes()

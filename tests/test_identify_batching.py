@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from curvepath import calibration, clothoid
+from curvepath import calibration, clothoid, road
 from curvepath.calibration import (
     _sample_intervals,
     _window_cost,
@@ -29,7 +29,7 @@ def test_grid_costs_match_one_window_cost_per_candidate(clean_driver_log, budget
     """With the vertex budget as it is, at about three paths and at one
     vertex, so that every path ends a chunk."""
     if budget is not None:
-        monkeypatch.setattr(calibration, "PROJECT_VERTICES", budget)
+        monkeypatch.setattr(road, "PROJECT_VERTICES", budget)
     windows = []  # per grid: the candidates' arguments, the costs and the chunk calls
     candidate_path, grid_costs = calibration._candidate_path, calibration._grid_costs
 
@@ -45,7 +45,7 @@ def test_grid_costs_match_one_window_cost_per_candidate(clean_driver_log, budget
     def recorded_grid(paths, pts):
         windows.append({"candidates": [], "chunks": 0, "pts": pts})
         with monkeypatch.context() as patch:
-            patch.setattr(calibration, "project_to_polyline", counted)
+            patch.setattr(road, "project_to_polyline", counted)
             windows[-1]["costs"] = grid_costs(paths, pts)
         return windows[-1]["costs"]
 

@@ -1,11 +1,13 @@
 """Batched point-to-polyline projection against its references: the scalar
 Corridor.project, a brute-force minimum over all segments, the replay's
 per-cycle offsets measured one point at a time, and for several polylines
-in one call, one call per polyline."""
+in one call or gathered in chunks by ChunkedProjection, one call per
+polyline."""
 
 import numpy as np
 import pytest
 
+from curvepath import road
 from curvepath.planner import GainMatrix, NodePointParams
 from curvepath.road import LanePolynomial, Pose, corridor_from_polynomial, project_to_polyline
 from curvepath.simulate import run_replay
@@ -190,3 +192,40 @@ class TestManyPolylines:
         with pytest.raises(ValueError):
             project_to_polyline(np.concatenate([x for x, _ in replay_like]), np.concatenate([y for _, y in replay_like]),
                                 px, py, starts, np.array([0, 2]))
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_chunked_projection_hands_over_each_pair_in_order(self, replay_like, budget, monkeypatch):
+        """At the default vertex budget, with chunks of several polylines,
+        and at one vertex, with one polyline per chunk."""
+        budget = budget or road.PROJECT_VERTICES
+        monkeypatch.setattr(road, "PROJECT_VERTICES", budget)
+        rng = np.random.default_rng(17)
+        pairs = [(x, y, *_points_near([(x, y)], int(rng.integers(1, 60)), rng)[:2]) for x, y in replay_like * 6]
+        calls = []  # per call: the vertices and the polylines
+
+        def counted(x, y, px, py, starts, line):
+            calls.append((len(x), len(starts), int(starts[-1])))
+            return project_to_polyline(x, y, px, py, starts, line)
+
+        monkeypatch.setattr(road, "project_to_polyline", counted)
+        got = []
+        projection = road.ChunkedProjection(got.append)
+        projection.flush()
+        assert not calls
+        for pair in pairs:
+            projection.add(*pair)
+            # every pair of a projected chunk is handed over at once
+            assert len(got) == sum(polylines for _, polylines, _ in calls)
+        projection.flush()
+        projection.flush()
+        monkeypatch.undo()
+
+        assert len(got) == len(pairs)
+        for (x, y, px, py), signed in zip(pairs, got):
+            assert signed.tobytes() == project_to_polyline(x, y, px, py)[2].tobytes()
+        # a chunk closes at the first polyline that brings it to the budget
+        assert all(last_start < budget <= vertices for vertices, _, last_start in calls[:-1])
+        if budget == 1:
+            assert [polylines for _, polylines, _ in calls] == [1] * len(pairs)
+        else:
+            assert 2 <= len(calls) < len(pairs)
