@@ -190,7 +190,8 @@ class DriveLog:
         n = cycles.size
         if n < 1:
             raise ValueError("drive log must contain at least one record")
-        if n > 1 and not np.all(np.diff(cycles) == 1):
+        # int64 steps wrap, so a run past the largest index must not end below its start
+        if n > 1 and not (np.all(np.diff(cycles) == 1) and cycles[-1] > cycles[0]):
             raise ValueError("cycle indices must be contiguous")
         for name in self._FLOAT_COLUMNS:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
@@ -228,23 +229,35 @@ class DriveLog:
         write_csv(path, LOG_HEADER, [self.cycle, *(getattr(self, name) for name in self._FLOAT_COLUMNS)])
 
 
+def _cycle_index(field: str) -> int:
+    cycle = int(field)
+    if not -(2**63) <= cycle < 2**63:
+        raise ValueError(f"cycle index {field} outside the int64 range")
+    return cycle
+
+
 def load_drive_log(path) -> DriveLog:
-    """Parse and validate a drive log CSV."""
-    rows = read_csv(path, LOG_HEADER, "drive log", lambda f: [int(f[0]), *map(float, f[1:])])
+    """Parse and validate a drive log CSV; its timestamps set the sample time alone."""
+    rows = read_csv(path, LOG_HEADER, "drive log", lambda f: (_cycle_index(f[0]), [*map(float, f[1:])]))
     if not rows:
         raise LogFormatError(f"{path}: empty log (no data rows)")
-    data = np.asarray(rows, dtype=float)
+    cycles, values = zip(*rows)
+    data = np.array(values, dtype=float)
     # before the median step, which would call a nan timestamp non-increasing
-    _require_finite("t", data[:, 1])
+    _require_finite("t", data[:, 0])
     if data.shape[0] >= 2:
-        sample_time = float(round(float(np.median(np.diff(data[:, 1]))), 9))
+        # so an absurd t costs nothing: a step that overflows is a +-inf outlier to the median
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample_time = round(float(np.median(np.diff(data[:, 0]))), 9)
         if not sample_time > 0:
             raise LogFormatError(f"{path}: non-increasing timestamps")
+        if sample_time == math.inf:
+            raise LogFormatError(f"{path}: timestamps overflow their median step")
     else:
         sample_time = DEFAULT_SAMPLE_TIME_S
     return DriveLog(
-        cycle=data[:, 0].astype(np.int64),
-        **dict(zip(DriveLog._FLOAT_COLUMNS, data[:, 1:].T)),
+        cycle=np.array(cycles, dtype=np.int64),
+        **dict(zip(DriveLog._FLOAT_COLUMNS, data.T)),
         sample_time=sample_time,
     )
 

@@ -127,6 +127,31 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "est_trace.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_nodes_plan_every_replan(self, tmp_path):
+        # gains of 1e9 put the nodes 1e2 to 5e6 m off the lane; the fits
+        # between them close to their tolerance, a fraction of the chord,
+        # so every replan plans
+        assert main(["synth", "--drivers", "1", "--out-dir", str(tmp_path)]) == 0
+        gains_path = tmp_path / "gains.json"
+        gains_path.write_text(json.dumps([1e9, 0, 0, 0, 1e9, 0, 0, 0, 1e9]))
+        code = main(
+            [
+                "simulate",
+                "--log",
+                str(tmp_path / "driver_01.csv"),
+                "--gains",
+                str(gains_path),
+                "--mode",
+                "validation",
+                "--out-prefix",
+                str(tmp_path / "far"),
+            ]
+        )
+        assert code == 0
+        replans = json.loads((tmp_path / "far_replans.json").read_text())
+        assert [entry["gap"] for entry in replans] == [False] * 25
+
 
 class TestEvaluate:
     def test_reports_shape(self, cohort_dir, tmp_path):

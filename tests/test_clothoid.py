@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from curvepath.clothoid import (
     ClothoidSegment,
     CompositePath,
+    FIT_RESIDUAL_TOL,
     FitError,
     fit_composite,
     fit_g1,
@@ -22,12 +23,12 @@ CIRCLE_END = Pose(100.0 * math.sin(0.5), 100.0 * (1.0 - math.cos(0.5)), 0.5)
 class TestEvaluate:
     def test_straight_line(self):
         seg = ClothoidSegment(Pose(0, 0, 0), 0.0, 0.0, 50.0)
-        end = seg.end_pose()
+        end = seg.pose_at(seg.length)
         assert (end.x, end.y, end.theta) == pytest.approx((50.0, 0.0, 0.0), abs=1e-12)
 
     def test_circular_arc(self):
         seg = ClothoidSegment(Pose(0, 0, 0), 0.01, 0.0, 50.0)
-        end = seg.end_pose()
+        end = seg.pose_at(seg.length)
         assert end.x == pytest.approx(CIRCLE_END.x, abs=1e-10)
         assert end.y == pytest.approx(CIRCLE_END.y, abs=1e-10)
         assert end.theta == pytest.approx(0.5, abs=1e-12)
@@ -50,7 +51,7 @@ class TestEvaluate:
                 kappa_rate=rng.uniform(-1e-3, 1e-3),
                 length=rng.uniform(5, 200),
             )
-            end = seg.end_pose()
+            end = seg.pose_at(seg.length)
             ox, oy, oth = integrate_pose(seg.start, seg.kappa0, seg.kappa_rate, seg.length)
             assert math.hypot(end.x - ox, end.y - oy) < 1e-8
             assert abs(wrap_angle(end.theta - oth)) < 1e-10
@@ -72,7 +73,7 @@ class TestFitG1:
     def test_general_pose_closes(self):
         target = Pose(100.0, 10.0, 0.3)
         seg = fit_g1(Pose(0, 0, 0), target)
-        end = seg.end_pose()
+        end = seg.pose_at(seg.length)
         assert math.hypot(end.x - target.x, end.y - target.y) < 1e-6
         assert abs(wrap_angle(end.theta - target.theta)) < 1e-8
 
@@ -93,7 +94,7 @@ class TestFitG1:
                 phi + rng.uniform(-2.5, 2.5),
             )
             seg = fit_g1(start, end)
-            got = seg.end_pose()
+            got = seg.pose_at(seg.length)
             assert math.hypot(got.x - end.x, got.y - end.y) < 1e-6
             assert abs(wrap_angle(got.theta - end.theta)) < 1e-8
 
@@ -154,11 +155,43 @@ class TestComposite:
         with pytest.raises(ValueError):
             fit_composite([Pose(0, 0, 0)])
 
-    def test_joint_continuity_enforced(self):
-        a = ClothoidSegment(Pose(0, 0, 0), 0.0, 0.0, 10.0)
-        b = ClothoidSegment(Pose(10.0, 1.0, 0.0), 0.0, 0.0, 10.0)
-        with pytest.raises(ValueError, match="joint"):
-            CompositePath(segments=(a, b))
+    @given(
+        exponent=st.floats(-3.0, 9.0),
+        start=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-math.pi, math.pi)),
+        deviation=st.floats(-1.5, 1.5),
+        steps=st.lists(
+            st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 2.0), st.floats(-1.5, 1.5)), min_size=1, max_size=4
+        ),
+    )
+    def test_joints_are_g1_at_any_spacing(self, exponent, start, deviation, steps):
+        # node poses about 10**exponent m apart: the chord direction turns
+        # by up to 0.5 rad per step, and each heading deviates from the
+        # chord it ends by up to 1.5 rad
+        spacing = 10.0**exponent
+        x, y, direction = spacing * start[0], spacing * start[1], start[2]
+        poses = [Pose(x, y, direction + deviation)]
+        for turn, scale, deviation in steps:
+            direction += turn
+            x += spacing * scale * math.cos(direction)
+            y += spacing * scale * math.sin(direction)
+            poses.append(Pose(x, y, direction + deviation))
+        path = fit_composite(poses)
+        # a joint is one fit's end against the next fit's start, its node pose
+        assert [seg.start for seg in path.segments] == poses[:-1]
+        for seg, node in zip(path.segments, poses[1:]):
+            end = seg.pose_at(seg.length)
+            chord = math.hypot(node.x - seg.start.x, node.y - seg.start.y)
+            assert math.hypot(end.x - node.x, end.y - node.y) <= 10.0 * FIT_RESIDUAL_TOL * chord
+            assert abs(wrap_angle(end.theta - node.theta)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_apart_nodes_give_a_path(self):
+        # the first fit ends 7.8e-6 m from the middle node: 7.8e-13 of its
+        # 1e7 m chord, inside the fit's tolerance
+        poses = [Pose(0.0, 0.0, 0.0), Pose(1e7, 0.0, -0.1), Pose(2e7, 0.0, 0.0)]
+        path = fit_composite(poses)
+        assert [seg.start for seg in path.segments] == poses[:-1]
+        assert path.length == pytest.approx(2e7, rel=1e-3)
 
     def test_pose_lookup_across_joints(self):
         poses = [Pose(0, 0, 0), Pose(50, 0, 0), Pose(100, 0, 0)]

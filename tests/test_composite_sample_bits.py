@@ -80,7 +80,7 @@ def chained_path(rng, count: int) -> CompositePath:
             length=float(rng.uniform(5.0, 70.0)),
         )
         segments.append(seg)
-        start = seg.end_pose()
+        start = seg.pose_at(seg.length)
     return CompositePath(tuple(segments))
 
 
@@ -141,8 +141,8 @@ def mixed_path():
     """A nearly straight segment on the 8-node panel, a strong spiral on a
     multi-panel grid and a tight arc on one 10-node panel: three grids."""
     first = ClothoidSegment(Pose(3.0, -2.0, 0.4), 1e-3, 1e-6, 20.0)
-    second = ClothoidSegment(first.end_pose(), 0.02, 4e-3, 60.0)
-    third = ClothoidSegment(second.end_pose(), -0.2, 0.0, 8.0)
+    second = ClothoidSegment(first.pose_at(first.length), 0.02, 4e-3, 60.0)
+    third = ClothoidSegment(second.pose_at(second.length), -0.2, 0.0, 8.0)
     path = CompositePath((first, second, third))
     _, slopes = reference_sample(path, np.linspace(0.0, path.length, 200))
     assert len({id(_rule(slope)) for slope in slopes}) == 3

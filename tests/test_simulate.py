@@ -89,6 +89,18 @@ class TestDriveLogCsv:
         with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}: non-increasing timestamps$"):
             load_drive_log(path)
 
+    def test_overflowing_median_step_rejected(self, tmp_path):
+        # t alternates -1e308, 1e308: two of the three steps overflow to
+        # +inf, and an infinite sample time would follow a whole plan per cycle
+        text = minimal_log_rows(4)
+        for row, t in enumerate(("-1e308", "1e308", "-1e308", "1e308")):
+            text = text.replace(f"\n{row},{row * 0.05},", f"\n{row},{t},")
+        assert text.count("e308,") == 4
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}: timestamps overflow their median step$"):
+            load_drive_log(path)
+
     def test_bit_exact_round_trip(self, tmp_path, clean_driver_log):
         path = tmp_path / "log.csv"
         clean_driver_log.write_csv(path)
