@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from .planner import (
     NodePointParams,
     average_curvatures,
 )
-from .road import ChunkedProjection, Corridor, SkipError, offset_point, project_to_polyline
+from .road import ChunkedProjection, Corridor, SkipError, offset_point, project_to_polyline, tally
 from .simulate import DriveLog, extract_measured_offsets
 
 _SVD_REL_TOL = 1e-10
@@ -105,27 +104,18 @@ def assemble_dataset(
     params = params or NodePointParams()
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
-    u_cols = []
-    d_cols = []
-    skips = Counter()
-    for row in range(0, len(log), retrigger):
-        try:
-            kappas = average_curvatures(log.corridor(row), params.distances)
-            offsets = extract_measured_offsets(log, row, params)
-        except SkipError as exc:
-            skips[exc.reason] += 1
-            continue
-        u_cols.append(kappas.as_array())
-        d_cols.append(offsets.as_array())
-    if not u_cols:
+
+    def column(row):
+        kappas = average_curvatures(log.corridor(row), params.distances)
+        return kappas.as_array(), extract_measured_offsets(log, row, params).as_array()
+
+    columns, skips = tally(range(0, len(log), retrigger), column)
+    if not columns:
         raise EmptyDatasetError(
-            f"all {skips.total()} replanning cycles lacked preview or a valid corridor: {dict(skips)}"
+            f"all {sum(skips.values())} replanning cycles lacked preview or a valid corridor: {skips}"
         )
-    return RegressionDataset(
-        offsets=np.array(d_cols).T,
-        inputs=np.array(u_cols).T,
-        skips=dict(skips),
-    )
+    u_cols, d_cols = zip(*columns)
+    return RegressionDataset(offsets=np.array(d_cols).T, inputs=np.array(u_cols).T, skips=skips)
 
 
 def fit_gain_matrix(data: RegressionDataset) -> CalibrationResult:
@@ -170,8 +160,7 @@ class NodeDistanceResult:
     """Averaged optimum, or the initial one if no window gives one, and per-window optima with costs.
 
     Every window is used (one optimum), flat (its cost landscape is flat,
-    as on straight driving) or skipped, counted by reason ("corridor",
-    "few_stations", "no_finite_cost").
+    as on straight driving) or skipped, counted by its SkipError's reason.
     """
 
     params: NodePointParams
@@ -216,7 +205,9 @@ def _sample_intervals(length: float) -> int:
 def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits=None):
     """Points (px, py) sampled at most a metre apart along the path fitted
     for candidate node distances, or None when the distances are out of
-    order or past the horizon, or the fit fails.
+    order or past the horizon, the fit fails, or the path runs more than
+    twice as far as the drive it explains (a node on an outlying recorded
+    point), which would cost one sample per metre of it.
 
     The path is fitted through node points placed on the recorded drive
     (positions from the drive, orientations from the road) and, because the
@@ -239,6 +230,8 @@ def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits=No
     last = path.segments[-1]
     tail = horizon - d_far + 1.0
     extended = CompositePath(path.segments[:-1] + (replace(last, length=last.length + tail),))
+    if extended.length > 2.0 * (horizon + 1.0):
+        return None
     n = _sample_intervals(extended.length)
     px, py, _ = extended.sample(np.linspace(0.0, extended.length, n + 1))
     return px, py
@@ -276,6 +269,69 @@ _FLAT_COST_EPS = 1e-4
 _PREVIEW_TIEBREAK = 3e-5
 
 
+class FewStationsError(SkipError, ValueError):
+    """A window with too few recorded stations inside its horizon to place the nodes."""
+
+    reason = "few_stations"
+
+
+class NoFiniteCostError(SkipError, ValueError):
+    """A window where no candidate of the grid gives a path."""
+
+    reason = "no_finite_cost"
+
+
+def _window_optimum(log: DriveLog, anchor: int, window: int, grid_step: float):
+    """The window's optimum (near, mid, far, cost), or None when its cost
+    landscape is flat; see optimize_node_distances."""
+    corridor, pts, stations, offsets = _window_geometry(log, anchor, window)
+    if stations.size < 8 or stations[-1] < 3.0 * grid_step:
+        raise FewStationsError(f"window at row {anchor} has {stations.size} stations")
+    anchor_pose = log.pose(anchor)
+    horizon = stations[-1]
+    fits = {}
+
+    def tiebroken(raw, cand):
+        return raw + _PREVIEW_TIEBREAK * (horizon - cand[2])
+
+    def scored(cand):
+        raw = _window_cost(cand, corridor, pts, stations, offsets, anchor_pose, fits)
+        return raw, tiebroken(raw, cand)
+
+    grid = [
+        (dn, dm, df)
+        for dn in np.arange(grid_step, 35.0 + 1e-9, grid_step)
+        for dm in np.arange(dn + grid_step, min(90.0, horizon), 2.0 * grid_step)
+        for df in np.arange(dm + 2.0 * grid_step, horizon + 1e-9, 4.0 * grid_step)
+    ]
+    paths = (_candidate_path(cand, corridor, stations, offsets, anchor_pose, fits) for cand in grid)
+    finite = [(raw, cand) for cand, raw in zip(grid, _grid_costs(paths, pts)) if math.isfinite(raw)]
+    if not finite:
+        raise NoFiniteCostError(f"window at row {anchor} has no finite cost")
+    if max(finite)[0] - min(finite)[0] < _FLAT_COST_EPS:
+        return None
+    # the first of equal minima, as the grid runs
+    cost, (dn, dm, df) = min(finite, key=lambda found: tiebroken(*found))
+    adjusted_best = tiebroken(cost, (dn, dm, df))
+
+    def objective(z):
+        gaps = np.exp(z)
+        cand = (gaps[0], gaps[0] + gaps[1], gaps[0] + gaps[1] + gaps[2])
+        if cand[2] > horizon:
+            return 1e6 + cand[2]
+        return scored(cand)[1]
+
+    z0 = np.log([dn, dm - dn, df - dm])
+    res = minimize(objective, z0, method="Nelder-Mead",
+                   options={"maxfev": 150, "xatol": 1e-3, "fatol": 1e-9})
+    gaps = np.exp(res.x)
+    cand = (float(gaps[0]), float(gaps[0] + gaps[1]), float(gaps[0] + gaps[1] + gaps[2]))
+    raw, adjusted = scored(cand)
+    if adjusted <= adjusted_best:
+        (dn, dm, df), cost = cand, raw
+    return (float(dn), float(dm), float(df), float(cost))
+
+
 def optimize_node_distances(
     log: DriveLog,
     initial: NodePointParams,
@@ -307,86 +363,18 @@ def optimize_node_distances(
     if len(log) < window:
         raise ValueError(f"log has {len(log)} samples, shorter than one {window}-sample window")
 
-    grid_near = np.arange(grid_step, 35.0 + 1e-9, grid_step)
-    optima = []
-    skips = Counter()
-    flat_windows = 0
-    for anchor in range(0, len(log) - window + 1, stride):
-        try:
-            corridor, pts, stations, offsets = _window_geometry(log, anchor, window)
-        except SkipError as exc:
-            skips[exc.reason] += 1
-            continue
-        if stations.size < 8 or stations[-1] < 3.0 * grid_step:
-            skips["few_stations"] += 1
-            continue
-        anchor_pose = log.pose(anchor)
-        horizon = stations[-1]
-        fits = {}
-
-        def tiebroken(raw, cand):
-            return raw + _PREVIEW_TIEBREAK * (horizon - cand[2])
-
-        def scored(cand):
-            raw = _window_cost(cand, corridor, pts, stations, offsets, anchor_pose, fits)
-            return raw, tiebroken(raw, cand)
-
-        grid = [
-            (dn, dm, df)
-            for dn in grid_near
-            for dm in np.arange(dn + grid_step, min(90.0, horizon), 2.0 * grid_step)
-            for df in np.arange(dm + 2.0 * grid_step, horizon + 1e-9, 4.0 * grid_step)
-        ]
-        paths = (_candidate_path(cand, corridor, stations, offsets, anchor_pose, fits) for cand in grid)
-        best = (math.inf, math.inf, None)
-        costs = []
-        for cand, raw in zip(grid, _grid_costs(paths, pts)):
-            if math.isfinite(raw):
-                costs.append(raw)
-                adjusted = tiebroken(raw, cand)
-                if adjusted < best[1]:
-                    best = (raw, adjusted, cand)
-        if not costs:
-            skips["no_finite_cost"] += 1
-            continue
-        spread = max(costs) - min(costs)
-        if spread < _FLAT_COST_EPS:
-            flat_windows += 1
-            continue
-
-        cost, adjusted_best, (dn, dm, df) = best
-
-        def objective(z):
-            gaps = np.exp(z)
-            cand = (gaps[0], gaps[0] + gaps[1], gaps[0] + gaps[1] + gaps[2])
-            if cand[2] > horizon:
-                return 1e6 + cand[2]
-            return scored(cand)[1]
-
-        z0 = np.log([dn, dm - dn, df - dm])
-        res = minimize(objective, z0, method="Nelder-Mead",
-                       options={"maxfev": 150, "xatol": 1e-3, "fatol": 1e-9})
-        gaps = np.exp(res.x)
-        cand = (float(gaps[0]), float(gaps[0] + gaps[1]), float(gaps[0] + gaps[1] + gaps[2]))
-        raw, adjusted = scored(cand)
-        if adjusted <= adjusted_best:
-            (dn, dm, df), cost = cand, raw
-        optima.append((float(dn), float(dm), float(df), float(cost)))
-
-    # a window that is neither skipped nor flat gives an optimum
+    anchors = range(0, len(log) - window + 1, stride)
+    found, skips = tally(anchors, lambda anchor: _window_optimum(log, anchor, window, grid_step))
+    optima = [optimum for optimum in found if optimum is not None]
+    flat_windows = len(found) - len(optima)
     if optima:
         mean = np.array([o[:3] for o in optima]).mean(axis=0)
         params = NodePointParams(float(mean[0]), float(mean[1]), float(mean[2]))
     elif flat_windows:
         params = initial
     else:
-        raise EmptyDatasetError(f"no usable optimisation window ({skips.total()} skipped): {dict(skips)}")
-    return NodeDistanceResult(
-        params=params,
-        window_optima=tuple(optima),
-        skips=dict(skips),
-        flat_windows=flat_windows,
-    )
+        raise EmptyDatasetError(f"no usable optimisation window ({sum(skips.values())} skipped): {skips}")
+    return NodeDistanceResult(params=params, window_optima=tuple(optima), skips=skips, flat_windows=flat_windows)
 
 
 # --------------------------------------------------------------------------
@@ -427,14 +415,9 @@ def node_count_tradeoff(
         raise ValueError("repeats must be at least 1")
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
-    corridors, skips = [], Counter()
-    for row in range(0, len(log), retrigger):
-        try:
-            corridors.append(log.corridor(row))
-        except SkipError as exc:
-            skips[exc.reason] += 1
+    corridors, skips = tally(range(0, len(log), retrigger), log.corridor)
     if not corridors:
-        raise EmptyDatasetError(f"all {skips.total()} replanning cycles lacked a valid corridor: {dict(skips)}")
+        raise EmptyDatasetError(f"all {sum(skips.values())} replanning cycles lacked a valid corridor: {skips}")
 
     def plan_once(corridor: Corridor, count: int):
         horizon = min(corridor.length, MAX_PREVIEW_M)
@@ -472,4 +455,4 @@ def node_count_tradeoff(
     err_max = max(errors) if max(errors) > 0 else 1.0
     time_max = max(times)
     rows = ((count, err / err_max, t / time_max) for count, err, t in zip(counts, errors, times))
-    return SweepRows(rows, dict(skips))
+    return SweepRows(rows, skips)

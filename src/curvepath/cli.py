@@ -193,6 +193,7 @@ def _cmd_calibrate(args) -> int:
     payload["provenance"] = {
         "log_file": str(args.log),
         "retrigger": settings.retrigger,
+        "sample_time_s": log.sample_time,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     # the sweep runs before the JSON is written, so a failing sweep leaves
@@ -227,7 +228,7 @@ def _cmd_simulate(args) -> int:
     trace.write_csv(trace_path)
     trace.replans_to_json(replans_path)
     n_replans = sum(1 for r in trace.replans if not r.gap)
-    print(f"replayed {len(trace)} cycles, {n_replans} replans -> {trace_path}")
+    print(f"replayed {len(trace)} cycles of {log.sample_time} s, {n_replans} replans -> {trace_path}")
     return 0
 
 

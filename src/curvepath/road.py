@@ -250,6 +250,18 @@ class CoordinateRangeError(SkipError, ValueError):
     reason = "coordinates"
 
 
+def tally(units, step) -> tuple[list, dict[str, int]]:
+    """Call step on each unit in order: the results of the units that raise
+    no SkipError, and the others counted by their reason."""
+    kept, skips = [], {}
+    for unit in units:
+        try:
+            kept.append(step(unit))
+        except SkipError as exc:
+            skips[exc.reason] = skips.get(exc.reason, 0) + 1
+    return kept, skips
+
+
 # Loose per-step consistency bound between heading increments and integrated
 # curvature; catches corrupted corridor data without rejecting legitimate
 # discretisation error at curvature jumps.

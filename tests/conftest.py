@@ -8,6 +8,7 @@ from curvepath.simulate import (
     build_scenario_road,
     generate_synthetic_driver_log,
     s_curve_scenario,
+    winding_scenario,
 )
 
 settings.register_profile(
@@ -31,3 +32,11 @@ def clean_driver_log(s_curve_road):
     """Noise-free synthetic drive over the S-curve with known gains."""
     driver = SyntheticDriverSpec(gains_true=GainMatrix(P_TRUE), offset_noise_sigma=0.0, seed=7)
     return generate_synthetic_driver_log(s_curve_road, driver)
+
+
+@pytest.fixture(scope="session")
+def winding_log():
+    """Noisy synthetic drive over the winding road: 2601 rows, six 400-row windows."""
+    road = build_scenario_road(winding_scenario())
+    gains = GainMatrix(np.diag([30.0, 40.0, 50.0]) + 2.0)
+    return generate_synthetic_driver_log(road, SyntheticDriverSpec(gains_true=gains, seed=4))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from curvepath.simulate import (
     SyntheticDriverSpec,
     build_scenario_road,
     generate_synthetic_driver_log,
+    load_drive_log,
 )
 
 from conftest import P_TRUE
@@ -70,6 +72,19 @@ class TestCalibrate:
         code = main(["calibrate", "--log", str(log_path), "--out", str(tmp_path / "g.json")])
         assert code == 2
         assert "rank" in capsys.readouterr().err
+
+    def test_outputs_name_the_sample_time(self, cohort_dir, tmp_path, capsys):
+        # timestamps in milliseconds read as a 50 s step; both commands name it
+        log = load_drive_log(cohort_dir / "driver_01.csv")
+        slow = tmp_path / "slow.csv"
+        dataclasses.replace(log, t=log.t * 1000.0).write_csv(slow)
+        out = tmp_path / "gains.json"
+        for path, step in ((cohort_dir / "driver_01.csv", 0.05), (slow, 50.0)):
+            assert main(["calibrate", "--log", str(path), "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["provenance"]["sample_time_s"] == step
+            argv = ["simulate", "--log", str(path), "--mode", "estimation", "--out-prefix", str(tmp_path / "est")]
+            assert main(argv) == 0
+            assert f" cycles of {step} s, " in capsys.readouterr().out
 
     def test_missing_log_exits_2(self, tmp_path):
         code = main(

@@ -1,7 +1,8 @@
 """A point or polyline too far out to project, or a node row's intercept
 too far out to read, raises CoordinateRangeError before numpy warns, so one
 absurd recorded position costs one counted window in identification and
-one counted gap in replay, under the suite's error::RuntimeWarning filter."""
+one counted gap in replay, under the suite's error::RuntimeWarning filter.
+A position in range but far off the drive costs at most its window."""
 
 import dataclasses
 import json
@@ -72,6 +73,19 @@ def test_one_far_point_costs_one_window(clean_driver_log):
     assert got.skipped_windows == clean.skipped_windows + 1
     assert got.window_optima and set(got.window_optima) <= set(clean.window_optima)
     assert len(got.window_optima) + got.flat_windows == len(clean.window_optima) + clean.flat_windows - 1
+
+
+
+def test_an_outlying_point_costs_at_most_its_window(winding_log):
+    """x = 1e50 on row 450, inside the second of six 400-row windows, can be
+    projected, but a node placed on it gives paths about 1e50 m long. Those
+    give no cost instead of a sample per metre, so that window is flat and
+    the other five keep their optima to the bit."""
+    clean = optimize_node_distances(winding_log, NodePointParams())
+    got = optimize_node_distances(_with_cell(winding_log, "x", 450, 1e50), NodePointParams())
+    assert (len(clean.window_optima), clean.flat_windows, clean.skips) == (6, 0, {})
+    assert (got.flat_windows, got.skips) == (1, {})
+    assert got.window_optima == clean.window_optima[:1] + clean.window_optima[2:]
 
 
 @pytest.mark.parametrize("c0", [1e308, -1e100])

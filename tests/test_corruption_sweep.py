@@ -1,8 +1,10 @@
 """A corruption sweep through the command line: one absurd cell, in any
 float column of a plain row, a replan row or a node row of the S-curve log,
 costs at most its unit. calibrate and simulate in both modes exit 0 or 2
-with no exception escaping, numpy warnings raised as errors, and an absurd
-intercept on a node row is exactly one more "coordinates" skip or gap.
+with no exception escaping, numpy warnings raised as errors; a run that
+exits 0 counts every unit it loses (calibrate's cycles used and skipped, and
+a replay's replan records, are the clean log's), and an absurd intercept on
+a node row is exactly one more "coordinates" skip or gap.
 The timestamps set the sample time alone, so absurd or backwards ones
 change no output, and a cycle index outside int64 is a bad log."""
 
@@ -56,34 +58,39 @@ def _corrupt(lines, edits) -> str:
     return "".join(lines)
 
 
-def _lost(command, out) -> Counter:
-    """The units a run that exited 0 counted as lost, by reason."""
+def _lost(command, outputs) -> Counter:
+    """The units a run counted as lost, by reason."""
     if command == "calibrate":
-        return Counter(json.loads((out / "calibrate.json").read_text(encoding="utf-8"))["dataset"]["skipped_by_reason"])
-    entries = json.loads((out / f"{command}_replans.json").read_text(encoding="utf-8"))
-    return Counter(entry["reason"] for entry in entries if entry["gap"])
+        return Counter(outputs["dataset"]["skipped_by_reason"])
+    return Counter(entry["reason"] for entry in json.loads(outputs["_replans.json"]) if entry["gap"])
+
+
+def _units(command, outputs):
+    """The units a run accounts for: calibrate's cycles used or skipped, and
+    the cycle of each of a replay's replan records."""
+    if command == "calibrate":
+        return outputs["dataset"]["cycles"] + outputs["dataset"]["skipped"]
+    return [entry["cycle"] for entry in json.loads(outputs["_replans.json"])]
 
 
 @pytest.fixture(scope="module")
 def clean(clean_driver_log, tmp_path_factory):
-    """The clean log's lines, the gains file, and each command's lost units
-    and outputs."""
+    """The clean log's lines, the gains file, and each command's outputs."""
     out = tmp_path_factory.mktemp("clean")
     gains = out / "gains.json"
     gains.write_text(json.dumps(P_TRUE.ravel().tolist()), encoding="utf-8")
     clean_driver_log.write_csv(out / "log.csv")
-    lost, outputs = {}, {}
+    outputs = {}
     for command in COMMANDS:
         assert _run(command, out / "log.csv", out, gains) == 0
-        lost[command] = _lost(command, out)
         outputs[command] = _outputs(command, out)
-    return (out / "log.csv").read_text(encoding="utf-8").splitlines(keepends=True), gains, lost, outputs
+    return (out / "log.csv").read_text(encoding="utf-8").splitlines(keepends=True), gains, outputs
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("column", LOG_HEADER.split(",")[1:])
 def test_one_absurd_cell_costs_at_most_its_unit(column, clean, tmp_path):
-    lines, gains, clean_lost, _ = clean
+    lines, gains, clean_outputs = clean
     field = LOG_HEADER.split(",").index(column)
     log_path = tmp_path / "log.csv"
     failed = []
@@ -98,11 +105,18 @@ def test_one_absurd_cell_costs_at_most_its_unit(column, clean, tmp_path):
                 continue
             if code not in (0, 2):
                 failed.append(f"{case}: exit {code}")
-            elif (column, kind) == ("c0", "node") and value.endswith("e+308"):
+                continue
+            outputs = _outputs(command, tmp_path) if code == 0 else None
+            # a unit that is lost is counted: used and skipped add up to the clean run's
+            if outputs and _units(command, outputs) != _units(command, clean_outputs[command]):
+                failed.append(f"{case}: accounts for {_units(command, outputs)} units, "
+                              f"the clean log for {_units(command, clean_outputs[command])}")
+            if (column, kind) == ("c0", "node") and value.endswith("e+308"):
                 want = Counter(coordinates=1) if command != "validation" else Counter()
-                got = _lost(command, tmp_path) if code == 0 else None
-                if got is None or got - clean_lost[command] != want or clean_lost[command] - got:
-                    failed.append(f"{case}: exit {code}, lost {got} against {clean_lost[command]} clean")
+                clean_lost = _lost(command, clean_outputs[command])
+                got = _lost(command, outputs) if outputs else None
+                if got is None or got - clean_lost != want or clean_lost - got:
+                    failed.append(f"{case}: exit {code}, lost {got} against {clean_lost} clean")
     assert not failed, "\n".join(failed)
 
 
@@ -114,7 +128,7 @@ def test_one_absurd_cell_costs_at_most_its_unit(column, clean, tmp_path):
     [(ROWS["plain"], 1, "0.0")],
 ], ids=["overflowing-pair", "backwards"])
 def test_absurd_timestamps_change_no_output(edits, clean, tmp_path):
-    lines, gains, _, clean_outputs = clean
+    lines, gains, clean_outputs = clean
     log_path = tmp_path / "log.csv"
     log_path.write_text(_corrupt(lines, edits), encoding="utf-8")
     for command in COMMANDS:
@@ -136,7 +150,7 @@ def _wrapping(rows: int) -> list:
     (_wrapping, "cycle indices must be contiguous"),
 ], ids=["past-int64", "wrapping"])
 def test_a_cycle_index_outside_int64_is_a_bad_log(edits, message, clean, tmp_path, capsys):
-    lines, gains, _, _ = clean
+    lines, gains, _ = clean
     log_path = tmp_path / "log.csv"
     log_path.write_text(_corrupt(lines, edits(len(lines) - 1)), encoding="utf-8")
     for command in COMMANDS:

@@ -5,27 +5,12 @@ log would hold a cycle after it ends. That node has no recorded offset, so
 it must count as missing preview, not name a row that does not exist.
 """
 
-import numpy as np
 import pytest
 
 from curvepath.calibration import assemble_dataset
 from curvepath.planner import GainMatrix, NodePointParams
 from curvepath.road import InsufficientPreviewError
-from curvepath.simulate import (
-    SyntheticDriverSpec,
-    build_scenario_road,
-    generate_synthetic_driver_log,
-    node_row_indices,
-    run_replay,
-    winding_scenario,
-)
-
-
-@pytest.fixture(scope="module")
-def winding_log():
-    road = build_scenario_road(winding_scenario())
-    gains = GainMatrix(np.diag([30.0, 40.0, 50.0]) + 2.0)
-    return generate_synthetic_driver_log(road, SyntheticDriverSpec(gains_true=gains, seed=4))
+from curvepath.simulate import node_row_indices, run_replay
 
 
 def test_node_nearest_the_row_after_the_log_is_missing_preview(clean_driver_log):

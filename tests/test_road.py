@@ -6,13 +6,16 @@ from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
 from curvepath.road import (
+    CoordinateRangeError,
     Corridor,
+    CorridorError,
     LanePolynomial,
     PlanningFrame,
     Pose,
     corridor_from_polynomial,
     from_planning_frame,
     offset_point,
+    tally,
     to_planning_frame,
     wrap_angle,
 )
@@ -190,3 +193,18 @@ class TestPose:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Pose(math.nan, 0.0, 0.0)
+
+
+def test_tally_keeps_results_in_order_and_counts_skips_by_reason():
+    def step(unit):
+        if unit % 3 == 0:
+            raise CorridorError("bad")
+        if unit == 4:
+            raise CoordinateRangeError("far")
+        return unit * 10
+
+    assert tally(range(8), step) == ([10, 20, 50, 70], {"corridor": 3, "coordinates": 1})
+    assert tally([], step) == ([], {})
+    # an error that is not a skip is not counted
+    with pytest.raises(ZeroDivisionError):
+        tally([1, 0], lambda unit: 1 / unit)

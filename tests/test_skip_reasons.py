@@ -18,7 +18,7 @@ from curvepath.calibration import (
 )
 from curvepath.clothoid import FitError
 from curvepath.planner import DEFAULT_RETRIGGER_CYCLES, GainMatrix, NodePointParams
-from curvepath.road import CorridorError, InsufficientPreviewError, SkipError
+from curvepath.road import CoordinateRangeError, SkipError
 from curvepath.simulate import ReplayError, load_drive_log, run_replay
 
 from conftest import P_TRUE
@@ -38,19 +38,34 @@ def _gap_reasons(trace) -> Counter:
     return Counter(rec.reason for rec in trace.replans if rec.gap)
 
 
+def _skip_errors(cls=SkipError) -> list:
+    """Every SkipError subclass the program defines, at any depth."""
+    found = []
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("curvepath."):
+            found.append(sub)
+        found += _skip_errors(sub)
+    return found
+
+
+def _builtin_base(error) -> type:
+    return next(base for base in error.__mro__ if base.__module__ == "builtins")
+
+
 @pytest.mark.parametrize(
-    "error, reason, base",
-    [
-        (CorridorError, "corridor", ValueError),
-        (InsufficientPreviewError, "preview", ValueError),
-        (FitError, "fit", RuntimeError),
-    ],
+    "error", _skip_errors(), ids=lambda e: f"{e.__name__}-{vars(e).get('reason')}-{_builtin_base(e).__name__}"
 )
-def test_each_skip_exception_names_its_reason(error, reason, base):
-    assert issubclass(error, SkipError)
-    assert issubclass(error, base)
-    assert error.reason == reason
-    assert error("x").reason == reason
+def test_each_skip_exception_names_its_reason(error):
+    # its own reason, set on the class; and one that escapes a command exits 2
+    assert isinstance(vars(error).get("reason"), str)
+    assert error("x").reason == error.reason
+    assert issubclass(_builtin_base(error), cli.DATA_ERRORS)
+
+
+def test_skip_reasons_are_unique():
+    reasons = [error.reason for error in _skip_errors()]
+    assert len(set(reasons)) == len(reasons)
+    assert set(reasons) >= {"corridor", "preview", "fit", "coordinates", "few_stations", "no_finite_cost"}
 
 
 def test_replay_gaps_name_the_corridor(corrupted_log):
@@ -121,6 +136,24 @@ def test_windows_count_no_finite_cost(clean_driver_log, monkeypatch):
     got = optimize_node_distances(clean_driver_log, NodePointParams(), window=120, stride=120)
     assert got.skips == {**clean.skips, "no_finite_cost": 1}
     assert got.skipped_windows == sum(got.skips.values()) == clean.skipped_windows + 1
+
+
+def test_a_skip_past_a_windows_geometry_costs_that_window(clean_driver_log, monkeypatch):
+    grid_costs = calibration._grid_costs
+    calls = []
+
+    def grid_failing_once(paths, pts):
+        calls.append(1)
+        if len(calls) == 2:
+            raise CoordinateRangeError("far")
+        return grid_costs(paths, pts)
+
+    clean = optimize_node_distances(clean_driver_log, NodePointParams(), window=120, stride=120)
+    monkeypatch.setattr(calibration, "_grid_costs", grid_failing_once)
+    got = optimize_node_distances(clean_driver_log, NodePointParams(), window=120, stride=120)
+    assert got.skips == {**clean.skips, "coordinates": 1}
+    used = len(got.window_optima) + got.flat_windows
+    assert used == len(clean.window_optima) + clean.flat_windows - 1
 
 
 def test_sweep_counts_corridor(corrupted_log):
