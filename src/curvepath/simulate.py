@@ -71,8 +71,27 @@ class ReplayError(RuntimeError):
 
 
 def format_float(value: float) -> str:
-    """Fixed-notation float with at least 9 fractional digits, exact round trip."""
-    return np.format_float_positional(float(value), unique=True, min_digits=9)
+    """Fixed-notation float that reads back bit for bit, as
+    np.format_float_positional(value, unique=True, min_digits=9) prints it.
+
+    A double whose shortest round-trip digits need 9 or more fractional
+    digits prints those digits; any other prints its exact binary value
+    rounded to 9 fractional digits (15.0 as 15.000000000, -5373140820401.805
+    as -5373140820401.804687500). repr gives the shortest digits; one with a
+    negative exponent is shifted into fixed notation. A positive exponent,
+    nan and inf go to numpy.
+    """
+    value = float(value)
+    text = repr(value)
+    if "e" in text:
+        mantissa, exponent = text.split("e")
+        if exponent[0] == "+":
+            return np.format_float_positional(value, unique=True, min_digits=9)
+        sign = "-" if mantissa[0] == "-" else ""
+        text = f"{sign}0.{'0' * (-int(exponent) - 1)}{mantissa.lstrip('-').replace('.', '')}"
+    elif "n" in text:  # nan, inf, -inf
+        return np.format_float_positional(value, unique=True, min_digits=9)
+    return text if len(text) - text.index(".") > 9 else f"{value:.9f}"
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -190,9 +209,13 @@ class DriveLog:
         n = cycles.size
         if n < 1:
             raise ValueError("drive log must contain at least one record")
-        # int64 steps wrap, so a run past the largest index must not end below its start
-        if n > 1 and not (np.all(np.diff(cycles) == 1) and cycles[-1] > cycles[0]):
-            raise ValueError("cycle indices must be contiguous")
+        # int64 steps wrap, so a step of one must also not go down
+        breaks = np.flatnonzero((np.diff(cycles) != 1) | (cycles[1:] < cycles[:-1]))
+        if breaks.size:
+            row = int(breaks[0]) + 1
+            prev, cur = int(cycles[row - 1]), int(cycles[row])
+            wraps = ", wrapping past the int64 end" if cur == prev + 1 - 2**64 else ""
+            raise ValueError(f"cycle indices must be contiguous: row {row} has cycle {cur} after {prev}{wraps}")
         for name in self._FLOAT_COLUMNS:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
@@ -875,8 +898,6 @@ def run_replay(
             # the poses of the two frames each wrap their heading
             ex, ey, etheta = to_global(lx, ly, wrap_angle(ltheta))
             etheta = wrap_angle(etheta)
-            if not (math.isfinite(ex) and math.isfinite(ey) and math.isfinite(etheta)):
-                raise ValueError("pose components must be finite")
         projection.add(active_corr.x, active_corr.y, xs[lo:stop], ys[lo:stop])
     if path_id < 0:
         reasons = Counter(rec.reason for rec in replans)

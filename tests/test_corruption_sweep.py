@@ -147,7 +147,8 @@ def _wrapping(rows: int) -> list:
 @pytest.mark.parametrize("edits,message", [
     (lambda rows: [(ROWS["plain"], 0, str(10**20))],
      f"line {ROWS['plain'] + 2}: cycle index {10**20} outside the int64 range"),
-    (_wrapping, "cycle indices must be contiguous"),
+    (_wrapping, f"cycle indices must be contiguous: row 1 has cycle {-2**63} after {2**63 - 1}, "
+                "wrapping past the int64 end"),
 ], ids=["past-int64", "wrapping"])
 def test_a_cycle_index_outside_int64_is_a_bad_log(edits, message, clean, tmp_path, capsys):
     lines, gains, _ = clean

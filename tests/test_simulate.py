@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvepath.planner import GainMatrix, NodePointParams
 from curvepath.road import Pose
@@ -24,6 +25,10 @@ from curvepath.simulate import (
 )
 
 from conftest import P_TRUE
+
+
+def _numpy_positional(value):
+    return np.format_float_positional(value, unique=True, min_digits=9)
 
 
 def minimal_log_rows(n=3):
@@ -67,7 +72,7 @@ class TestDriveLogCsv:
         text = minimal_log_rows(3).replace("\n2,", "\n5,")
         path = tmp_path / "log.csv"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match="contiguous"):
+        with pytest.raises(ValueError, match="^cycle indices must be contiguous: row 2 has cycle 5 after 1$"):
             load_drive_log(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -115,6 +120,53 @@ class TestDriveLogCsv:
         assert "e" not in format_float(1e-12)
         assert float(format_float(0.1 + 0.2)) == 0.1 + 0.2
         assert len(format_float(0.5).split(".")[1]) >= 9
+
+    @settings(max_examples=3000)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_format_float_prints_as_numpy(self, value):
+        expected = _numpy_positional(value)
+        assert format_float(value) == expected
+        assert format_float(np.float64(value)) == expected
+
+    @settings(max_examples=1000)
+    @given(st.floats(width=32, allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_format_float_prints_a_float32_as_its_double(self, value):
+        single = np.float32(value)
+        assert format_float(single) == _numpy_positional(float(single))
+
+    @pytest.mark.parametrize("value,text", [
+        (0.0, "0.000000000"),
+        (-0.0, "-0.000000000"),
+        (5e-324, "0." + "0" * 323 + "5"),
+        (2.2250738585072014e-308, "0." + "0" * 307 + "22250738585072014"),
+        (1.7976931348623157e308, None),
+        (-1.7976931348623157e308, None),
+        (1e16, "10000000000000000.000000000"),
+        (1e22, "10000000000000000000000.000000000"),
+        (1e-5, "0.000010000"),
+        (1.5e-7, "0.000000150"),
+        (-2.5e-10, "-0.00000000025"),
+        (1.234e-05, "0.000012340"),
+        (15.0, "15.000000000"),
+        (3.7, "3.700000000"),
+        # fewer than 9 digits: the exact binary value to 9 digits, not a zero pad
+        (-5373140820401.805, "-5373140820401.804687500"),
+        (0.1 + 0.2, "0.30000000000000004"),
+        # 8, 9 and 10 fractional digits in repr
+        (0.12345678, "0.123456780"),
+        (1234567.12345678, "1234567.123456780"),
+        (0.123456789, "0.123456789"),
+        (0.1234567891, "0.1234567891"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+    ])
+    def test_format_float_edge_values(self, value, text):
+        assert format_float(value) == _numpy_positional(value)
+        if text is not None:
+            assert format_float(value) == text
+        if math.isfinite(value):
+            assert float(format_float(value)) == value
 
 
 class TestDriveLogValidation:
