@@ -12,7 +12,7 @@ import argparse
 import datetime
 import json
 import sys
-from collections import ChainMap
+from collections import ChainMap, Counter
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ from .simulate import (
     json_field,
     json_value,
     load_drive_log,
+    perceived_offsets,
     run_replay,
     s_curve_scenario,
     winding_scenario,
@@ -220,7 +221,7 @@ def _cmd_simulate(args) -> int:
     gains = _load_gains(args.gains) if args.gains else GainMatrix.zeros()
     if args.mode == "validation" and not args.gains:
         raise ValueError("validation mode requires --gains")
-    trace = run_replay(log, gains, settings.node_distances, settings.retrigger, mode=args.mode)
+    trace = perceived_offsets(log, run_replay(log, gains, settings.node_distances, settings.retrigger, mode=args.mode))
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     trace_path = str(prefix) + "_trace.csv"
@@ -228,7 +229,14 @@ def _cmd_simulate(args) -> int:
     trace.write_csv(trace_path)
     trace.replans_to_json(replans_path)
     n_replans = sum(1 for r in trace.replans if not r.gap)
-    print(f"replayed {len(trace)} cycles of {log.sample_time} s, {n_replans} replans -> {trace_path}")
+    gaps = Counter(r.reason for r in trace.replans if r.gap)
+    # a followed row has no offset only when its block was too far out to project
+    lost = int(np.count_nonzero(np.isnan(trace.offset) & (trace.path_id >= 0)))
+    unmeasured = {"coordinates": lost} if lost else {}
+    print(
+        f"replayed {len(trace)} cycles of {log.sample_time} s, {n_replans} replans, gaps {dict(gaps)}, "
+        f"followed rows without an offset {unmeasured} -> {trace_path}"
+    )
     return 0
 
 

@@ -115,7 +115,10 @@ def detect_curve_segments(
 
 
 def project_onto(trace: SimTrace, corridor: Corridor) -> SimTrace:
-    """Trace with station and offset recomputed against an evaluation corridor.
+    """Trace with station and offset filled in against an evaluation corridor.
+
+    Replay leaves both NaN; an offset that simulate.perceived_offsets filled
+    is replaced.
 
     Projects every trace point onto the corridor midline (nearest polyline
     segment); the returned offset is the signed perpendicular distance,

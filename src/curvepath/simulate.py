@@ -20,7 +20,7 @@ import bisect
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import get_args, get_origin
 
 import numpy as np
@@ -767,12 +767,10 @@ class ReplanRecord:
 class SimTrace:
     """Per-cycle replay trace plus the per-replan planning records.
 
-    station is NaN until the trace is projected onto an evaluation corridor
-    (see metrics.project_onto); offset is measured against the perceived
-    midline of the plan active in the row's block (the most recent replan
-    that was not a gap), and is NaN before the first plan. Replay projects
-    its blocks through road.ChunkedProjection, which leaves each offset as
-    one projection per block gives it, bit for bit.
+    station and offset are NaN as replay leaves them: metrics.project_onto
+    fills both against an evaluation corridor, and perceived_offsets fills
+    offset against the perceived midline of the plan active in each row's
+    block.
     """
 
     cycle: np.ndarray
@@ -809,6 +807,19 @@ class SimTrace:
         write_json(path, records)
 
 
+def _replan_corridor(log: DriveLog, row: int, x: float, y: float) -> Corridor:
+    """The global corridor of the replan at `row`, windowed to start at the
+    replayed vehicle's position (x, y)."""
+    corr_full = log.corridor(row).transformed(log.pose(row))
+    # Node distances are measured from the planning frame, i.e. from the
+    # replayed vehicle, which may run slightly ahead of or behind the
+    # recording vehicle the perception is tied to. A preview that ends
+    # before the far node raises at the first lookup past its end (an empty
+    # one raises in window).
+    s_ego, _ = corr_full.project(x, y)
+    return corr_full.window(s_ego)
+
+
 def run_replay(
     log: DriveLog,
     gains: GainMatrix,
@@ -824,10 +835,9 @@ def run_replay(
     follows the active path by arc length at the logged speed through the
     block. A replan without sufficient preview, whose lane polynomial gives
     no valid corridor or whose fit fails keeps the previous path active and
-    is recorded as a gap with its reason. Each row's offset is measured
-    against the corridor of the plan active in its block. The loop follows
-    each station once, in floats, and hands each followed block's corridor
-    and rows to one road.ChunkedProjection.
+    is recorded as a gap with its reason. The loop follows each station
+    once, in floats. Station and offset stay NaN; see perceived_offsets and
+    metrics.project_onto.
     """
     if mode not in ("validation", "estimation"):
         raise ValueError(f"mode must be 'validation' or 'estimation', got {mode!r}")
@@ -840,34 +850,21 @@ def run_replay(
     dt = log.sample_time
     ego = log.pose(0)
     ex, ey, etheta = ego.x, ego.y, ego.theta
-    active_corr: Corridor | None = None
     path_id = -1
     replans: list[ReplanRecord] = []
 
     xs = np.empty(n)
     ys = np.empty(n)
     thetas = np.empty(n)
-    offsets = np.full(n, np.nan)
     kappas = np.full(n, np.nan)
     path_ids = np.full(n, -1, dtype=np.int64)
-    # the followed rows' offsets, block by block: those rows run from the
-    # first plan's cycle to the end of the log
-    followed: list[np.ndarray] = []
-    projection = ChunkedProjection(followed.append)
 
     for lo in range(0, n, retrigger):
         cycle = int(log.cycle[lo])
         stop = min(lo + retrigger, n)
         ego = Pose(ex, ey, etheta)
         try:
-            corr_full = log.corridor(lo).transformed(log.pose(lo))
-            # Node distances are measured from the planning frame, i.e.
-            # from the replayed vehicle, which may run slightly ahead of
-            # or behind the recording vehicle the perception is tied to.
-            # A preview that ends before the far node raises at the first
-            # lookup past its end (an empty one raises in window).
-            s_ego, _ = corr_full.project(ego.x, ego.y)
-            corr = corr_full.window(s_ego)
+            corr = _replan_corridor(log, lo, ex, ey)
             kbar = average_curvatures(corr, params.distances)
             if mode == "estimation":
                 node_offsets = extract_measured_offsets(log, lo, params)
@@ -878,12 +875,12 @@ def run_replay(
             replans.append(ReplanRecord(cycle=cycle, reason=exc.reason))
         else:
             path_id += 1
-            active_corr, locate, end = corr, planned.path.locate, planned.path.length
+            locate, end = planned.path.locate, planned.path.length
             to_global = frame_map(ego)
             segment, local, path_s = planned.path.segments[0], 0.0, 0.0
             replans.append(ReplanRecord(cycle=cycle, path=planned, curvature_input=kbar, offsets=node_offsets))
         path_ids[lo:stop] = path_id
-        if active_corr is None:
+        if path_id < 0:
             xs[lo:stop], ys[lo:stop], thetas[lo:stop] = ex, ey, etheta
             continue
         for i in range(lo, stop):
@@ -898,21 +895,51 @@ def run_replay(
             # the poses of the two frames each wrap their heading
             ex, ey, etheta = to_global(lx, ly, wrap_angle(ltheta))
             etheta = wrap_angle(etheta)
-        projection.add(active_corr.x, active_corr.y, xs[lo:stop], ys[lo:stop])
     if path_id < 0:
         reasons = Counter(rec.reason for rec in replans)
         raise ReplayError(f"replay produced no valid plan at any of {len(replans)} retriggers: {dict(reasons)}")
-    projection.flush()
-    measured = np.concatenate(followed)
-    offsets[n - measured.size:] = measured
     return SimTrace(
         cycle=log.cycle.copy(),
         x=xs,
         y=ys,
         theta=thetas,
-        offset=offsets,
+        offset=np.full(n, np.nan),
         path_id=path_ids,
         kappa=kappas,
         station=np.full(n, np.nan),
         replans=tuple(replans),
     )
+
+
+def perceived_offsets(log: DriveLog, trace: SimTrace) -> SimTrace:
+    """The replay `trace` of `log` with each followed row's offset from the
+    perceived midline: its signed distance, positive left, from the corridor
+    of the plan active in its block.
+
+    Each replan record, gap or not, starts a block, and a gap block keeps the
+    active plan's corridor. The blocks go to one road.ChunkedProjection, so
+    each offset is bit for bit that of one projection per block. Rows before
+    the first plan keep offset NaN, and so do the rows of a block whose
+    coordinates reach COORDINATE_LIMIT_M (a replay driven that far off the
+    road): that block alone goes unprojected, for the reason "coordinates".
+    """
+    n = len(trace)
+    starts = [rec.cycle - int(log.cycle[0]) for rec in trace.replans] + [n]
+    blocks: list[slice] = []
+    measured: list[np.ndarray] = []
+    projection = ChunkedProjection(measured.append)
+    corr = None
+    for rec, lo, stop in zip(trace.replans, starts, starts[1:]):
+        if not rec.gap:
+            corr = _replan_corridor(log, lo, float(trace.x[lo]), float(trace.y[lo]))
+        px, py = trace.x[lo:stop], trace.y[lo:stop]
+        # the bound project_to_polyline checks, taken per block so that an
+        # out-of-range block costs its own rows, not its chunk's
+        if corr is not None and np.abs(np.concatenate((corr.x, corr.y, px, py))).max() < COORDINATE_LIMIT_M:
+            blocks.append(slice(lo, stop))
+            projection.add(corr.x, corr.y, px, py)
+    projection.flush()
+    offsets = np.full(n, np.nan)
+    for block, signed in zip(blocks, measured):
+        offsets[block] = signed
+    return replace(trace, offset=offsets)

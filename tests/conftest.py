@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from curvepath import cli
 from curvepath.planner import GainMatrix
 from curvepath.simulate import (
     SyntheticDriverSpec,
     build_scenario_road,
     generate_synthetic_driver_log,
+    load_drive_log,
     s_curve_scenario,
     winding_scenario,
 )
@@ -40,3 +42,11 @@ def winding_log():
     road = build_scenario_road(winding_scenario())
     gains = GainMatrix(np.diag([30.0, 40.0, 50.0]) + 2.0)
     return generate_synthetic_driver_log(road, SyntheticDriverSpec(gains_true=gains, seed=4))
+
+
+@pytest.fixture(scope="session")
+def synth_log(tmp_path_factory):
+    """The S-curve log of `curvepath synth --drivers 1 --seed 4`: 745 rows."""
+    out = tmp_path_factory.mktemp("synth")
+    assert cli.main(["synth", "--drivers", "1", "--scenario", "s-curve", "--seed", "4", "--out-dir", str(out)]) == 0
+    return load_drive_log(out / "driver_01.csv")

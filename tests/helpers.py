@@ -1,6 +1,7 @@
 """Constructors for probe drive logs used by calibration tests, and small
 readers that tests share."""
 
+import dataclasses
 import math
 import re
 
@@ -101,3 +102,18 @@ def curvature_profile(path, step: float) -> np.ndarray:
 def best_residual(message: str) -> float:
     """The best residual that a failed Newton solve's FitError message names."""
     return float(re.search(r"best residual (\S+) at", message).group(1))
+
+
+def far_off(log, column: str, path):
+    """Write to `path` the log with cells that drive its replay, with gains
+    scaled by 1e150, past the 1e100 m a projection can square: one huge
+    speed on replan row 300, or every t times 1e300 (a sample time of
+    1e300 s once read back). Returns `path`."""
+    if column == "speed":
+        speed = log.speed.copy()
+        speed[300] = 1e308
+        log = dataclasses.replace(log, speed=speed)
+    else:
+        log = dataclasses.replace(log, t=log.cycle * 1e300)
+    log.write_csv(path)
+    return path

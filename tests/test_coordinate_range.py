@@ -15,9 +15,10 @@ from curvepath import cli
 from curvepath.calibration import optimize_node_distances
 from curvepath.planner import NodePointParams
 from curvepath.road import CoordinateRangeError, LanePolynomial, Pose, corridor_from_polynomial, project_to_polyline
-from curvepath.simulate import extract_measured_offsets
+from curvepath.simulate import TRACE_HEADER, extract_measured_offsets
 
 from conftest import P_TRUE
+from helpers import far_off
 
 REPLAN_ROW = 300  # a replan row on the S-curve at the default retrigger of 30
 NODE_ROW = 278  # the near node row of the replan at row 270
@@ -134,3 +135,24 @@ def test_calibrate_names_the_lost_window(clean_driver_log, tmp_path, capsys):
     assert cli.main([*argv, "--optimize-distances"]) == 2
     err = capsys.readouterr().err
     assert "{'coordinates': 1}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("column", ["speed", "t"])
+def test_simulate_names_the_rows_too_far_out_to_project(synth_log, column, tmp_path, capsys):
+    log_path = far_off(synth_log, column, tmp_path / "log.csv")
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps((P_TRUE * 1e150).ravel().tolist()), encoding="utf-8")
+    prefix = tmp_path / "far"
+    argv = ["simulate", "--mode", "validation", "--gains", str(gains), "--log", str(log_path)]
+    assert cli.main([*argv, "--out-prefix", str(prefix)]) == 0
+    out = capsys.readouterr().out
+    trace = np.loadtxt(f"{prefix}_trace.csv", delimiter=",", skiprows=1)
+    assert len(trace) == len(synth_log)
+    columns = TRACE_HEADER.split(",")
+    offset, path_id = trace[:, columns.index("offset")], trace[:, columns.index("path_id")]
+    lost = int(np.count_nonzero(np.isnan(offset) & (path_id >= 0)))
+    assert lost > 0
+    assert f"followed rows without an offset {{'coordinates': {lost}}}" in out
+    replans = json.loads(prefix.with_name("far_replans.json").read_text(encoding="utf-8"))
+    gaps = Counter(entry["reason"] for entry in replans if entry["gap"])
+    assert f"gaps {dict(gaps)}" in out and gaps["coordinates"] > 0

@@ -1,9 +1,9 @@
 """run_replay's follow loop, bit for bit against the loop it replaces: per
 followed station a curvature lookup (a bisect over the segment bounds, then
 the segment's curvature formula) and then CompositePath.pose_at, each
-locating the station again, mapped through from_planning_frame. Its
-offsets, projected a chunk of blocks per call, bit for bit against one
-Corridor.project_many call per block."""
+locating the station again, mapped through from_planning_frame. The
+replay's perceived offsets (perceived_offsets), projected a chunk of blocks
+per call, bit for bit against one Corridor.project_many call per block."""
 
 import bisect
 import dataclasses
@@ -14,10 +14,12 @@ import pytest
 
 from curvepath import road
 from curvepath.planner import GainMatrix
-from curvepath.road import from_planning_frame, project_to_polyline
-from curvepath.simulate import run_replay
+from curvepath.metrics import project_onto
+from curvepath.road import CoordinateRangeError, from_planning_frame, project_to_polyline
+from curvepath.simulate import SimTrace, load_drive_log, perceived_offsets, run_replay
 
 from conftest import P_TRUE
+from helpers import far_off
 
 BAD_ROWS = slice(60, 64)  # a replan row at retrigger 1, 7 and 30 each
 LEAD_ROWS = slice(0, 3)  # so no plan is active at the first rows
@@ -72,7 +74,8 @@ def test_followed_poses_and_curvature_match_the_two_lookup_loop(gapped_log, mode
 
 def reference_offsets(log, trace, retrigger):
     """Each block's offsets from its active plan's corridor, one
-    Corridor.project_many call per block, given the replay's trace."""
+    Corridor.project_many call per block, given the replay's trace; NaN for
+    a block too far out to project."""
     gap = {rec.cycle: rec.gap for rec in trace.replans}
     offsets = np.full(len(log), np.nan)
     corr = None
@@ -83,7 +86,10 @@ def reference_offsets(log, trace, retrigger):
             s_ego, _ = full.project(float(trace.x[lo]), float(trace.y[lo]))
             corr = full.window(s_ego)
         if corr is not None:
-            _, offsets[block] = corr.project_many(trace.x[block], trace.y[block])
+            try:
+                _, offsets[block] = corr.project_many(trace.x[block], trace.y[block])
+            except CoordinateRangeError:
+                pass
     return offsets
 
 
@@ -103,7 +109,8 @@ def test_offsets_match_one_projection_per_block(gapped_log, mode, retrigger, bud
 
     with monkeypatch.context() as patch:
         patch.setattr(road, "project_to_polyline", counted)
-        trace = run_replay(gapped_log, GainMatrix(P_TRUE), retrigger=retrigger, mode=mode)
+        replayed = run_replay(gapped_log, GainMatrix(P_TRUE), retrigger=retrigger, mode=mode)
+        trace = perceived_offsets(gapped_log, replayed)
     want = reference_offsets(gapped_log, trace, retrigger)
     assert trace.offset.tobytes() == want.tobytes()
 
@@ -122,3 +129,37 @@ def test_offsets_match_one_projection_per_block(gapped_log, mode, retrigger, bud
         boundaries = first_plan + np.cumsum(chunk_rows)[:-1]
         across = {trace.path_id[b] for b in boundaries if trace.path_id[b - 1] == trace.path_id[b]}
         assert any(rec.gap and trace.path_id[rec.cycle] in across for rec in trace.replans)
+
+
+@pytest.mark.parametrize("mode", ["validation", "estimation"])
+def test_replay_projects_nothing(gapped_log, mode, monkeypatch):
+    calls = []
+    monkeypatch.setattr(road, "project_to_polyline", lambda *args: calls.append(args))
+    trace = run_replay(gapped_log, GainMatrix(P_TRUE), retrigger=7, mode=mode)
+    assert calls == []
+    assert np.isnan(trace.offset).all() and np.isnan(trace.station).all()
+
+
+@pytest.mark.parametrize("mode", ["validation", "estimation"])
+def test_evaluation_projection_ignores_the_perceived_offsets(gapped_log, s_curve_road, mode):
+    trace = run_replay(gapped_log, GainMatrix(P_TRUE), mode=mode)
+    perceived = perceived_offsets(gapped_log, trace)
+    assert not np.isnan(perceived.offset[-1])
+    got, want = project_onto(perceived, s_curve_road), project_onto(trace, s_curve_road)
+    for field in dataclasses.fields(SimTrace):
+        if field.name != "replans":
+            assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes(), field.name
+    assert got.replans is want.replans
+
+
+@pytest.mark.parametrize("column", ["speed", "t"])
+def test_a_block_out_of_range_loses_only_its_own_rows(synth_log, column, tmp_path):
+    log = load_drive_log(far_off(synth_log, column, tmp_path / "log.csv"))
+    trace = perceived_offsets(log, run_replay(log, GainMatrix(P_TRUE * 1e150), mode="validation"))
+    assert trace.offset.tobytes() == reference_offsets(log, trace, 30).tobytes()
+    followed = trace.path_id >= 0
+    lost = followed & np.isnan(trace.offset)
+    assert lost.any()
+    if column == "speed":
+        # the blocks before row 300 keep their offsets
+        assert not lost[:300].any() and followed[:300].any()

@@ -1,6 +1,6 @@
 """Batched point-to-polyline projection against its references: the scalar
 Corridor.project, a brute-force minimum over all segments, the replay's
-per-cycle offsets measured one point at a time, and for several polylines
+perceived offsets measured one point at a time, and for several polylines
 in one call or gathered in chunks by ChunkedProjection, one call per
 polyline."""
 
@@ -10,7 +10,7 @@ import pytest
 from curvepath import road
 from curvepath.planner import GainMatrix, NodePointParams
 from curvepath.road import LanePolynomial, Pose, corridor_from_polynomial, project_to_polyline
-from curvepath.simulate import run_replay
+from curvepath.simulate import perceived_offsets, run_replay
 
 from conftest import P_TRUE
 
@@ -82,7 +82,7 @@ class TestReplayOffsets:
     def test_offsets_equal_scalar_projection_per_plan(self, clean_driver_log):
         log = clean_driver_log
         params = NodePointParams()
-        trace = run_replay(log, GainMatrix(P_TRUE), params, mode="estimation")
+        trace = perceived_offsets(log, run_replay(log, GainMatrix(P_TRUE), params, mode="estimation"))
         plans = [r for r in trace.replans if not r.gap]
         # the log's tail lacks preview, so the last plan stays active across gaps
         assert any(r.gap and r.cycle > plans[-1].cycle for r in trace.replans)

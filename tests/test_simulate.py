@@ -20,6 +20,7 @@ from curvepath.simulate import (
     generate_synthetic_driver_log,
     load_drive_log,
     node_row_indices,
+    perceived_offsets,
     run_replay,
     s_curve_scenario,
 )
@@ -336,7 +337,7 @@ class TestRunReplay:
         road = build_scenario_road(ScenarioSpec(segments=(RoadSegmentSpec.straight(500.0),)))
         driver = SyntheticDriverSpec(gains_true=GainMatrix.zeros(), seed=4)
         log = generate_synthetic_driver_log(road, driver)
-        trace = run_replay(log, GainMatrix.zeros(), mode="validation")
+        trace = perceived_offsets(log, run_replay(log, GainMatrix.zeros(), mode="validation"))
         assert np.max(np.abs(trace.offset)) < 1e-9
 
     def test_determinism(self, clean_driver_log, tmp_path):
