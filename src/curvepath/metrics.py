@@ -150,13 +150,13 @@ def safety_metrics(
         raise ValueError(
             f"vehicle width {vehicle.width} m must be below lane width {corridor.lane_width} m"
         )
-    projected = trace if not np.any(np.isnan(trace.station)) else project_onto(trace, corridor)
-    margin = 0.5 * corridor.lane_width - (np.abs(projected.offset) + 0.5 * vehicle.width)
+    _require_stations(trace, "planned")
+    margin = 0.5 * corridor.lane_width - (np.abs(trace.offset) + 0.5 * vehicle.width)
     violating = margin < 0.0
     border = np.maximum(margin, 0.0)
     per_segment = []
     for seg in segments:
-        mask = seg.contains(projected.station)
+        mask = seg.contains(trace.station)
         per_segment.append(float(border[mask].min()) if np.any(mask) else math.inf)
     return SafetyReport(
         min_border_distance=float(border.min()),

@@ -178,14 +178,14 @@ def json_field(obj, key: str, kind, default=None):
     return json_value(obj.get(key, default), kind, key)
 
 
-def _require_finite(name: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"column {name} contains non-finite values")
-
-
 @dataclass(eq=False)
 class DriveLog:
-    """Columnar drive log: one row per perception cycle."""
+    """Columnar drive log: one row per perception cycle.
+
+    `t` alone sets the sample time: its median step, rounded to 9 decimals
+    (DEFAULT_SAMPLE_TIME_S for one row); a `sample_time` passed in must equal
+    it. The CSV does not carry `preview_length`, so a loaded log has 150 m.
+    """
 
     cycle: np.ndarray
     t: np.ndarray
@@ -198,7 +198,7 @@ class DriveLog:
     c2: np.ndarray
     c3: np.ndarray
     lane_width: np.ndarray
-    sample_time: float = DEFAULT_SAMPLE_TIME_S
+    sample_time: float | None = None
     preview_length: float = DEFAULT_PREVIEW_M
 
     _FLOAT_COLUMNS = ("t", "x", "y", "theta", "speed", "c0", "c1", "c2", "c3", "lane_width")
@@ -220,10 +220,21 @@ class DriveLog:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"column {name} has shape {arr.shape}, expected ({n},)")
-            _require_finite(name, arr)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"column {name} contains non-finite values")
             setattr(self, name, arr)
-        if not self.sample_time > 0:
-            raise ValueError("sample_time must be positive")
+        sample_time = DEFAULT_SAMPLE_TIME_S
+        if n >= 2:
+            # so an absurd t costs nothing: a step that overflows is a +-inf outlier to the median
+            with np.errstate(over="ignore", invalid="ignore"):
+                sample_time = round(float(np.median(np.diff(self.t))), 9)
+            if not sample_time > 0:
+                raise ValueError("non-increasing timestamps")
+            if sample_time == math.inf:
+                raise ValueError("timestamps overflow their median step")
+        if self.sample_time is not None and self.sample_time != sample_time:
+            raise ValueError(f"sample_time {self.sample_time} contradicts the median step of t, {sample_time}")
+        self.sample_time = sample_time
         if np.any(self.speed < 0):
             raise ValueError("speed must be non-negative")
         if np.any(self.lane_width <= 0):
@@ -260,29 +271,16 @@ def _cycle_index(field: str) -> int:
 
 
 def load_drive_log(path) -> DriveLog:
-    """Parse and validate a drive log CSV; its timestamps set the sample time alone."""
+    """Parse a drive log CSV into a DriveLog; any fault it finds names the path."""
     rows = read_csv(path, LOG_HEADER, "drive log", lambda f: (_cycle_index(f[0]), [*map(float, f[1:])]))
     if not rows:
         raise LogFormatError(f"{path}: empty log (no data rows)")
     cycles, values = zip(*rows)
     data = np.array(values, dtype=float)
-    # before the median step, which would call a nan timestamp non-increasing
-    _require_finite("t", data[:, 0])
-    if data.shape[0] >= 2:
-        # so an absurd t costs nothing: a step that overflows is a +-inf outlier to the median
-        with np.errstate(over="ignore", invalid="ignore"):
-            sample_time = round(float(np.median(np.diff(data[:, 0]))), 9)
-        if not sample_time > 0:
-            raise LogFormatError(f"{path}: non-increasing timestamps")
-        if sample_time == math.inf:
-            raise LogFormatError(f"{path}: timestamps overflow their median step")
-    else:
-        sample_time = DEFAULT_SAMPLE_TIME_S
-    return DriveLog(
-        cycle=np.array(cycles, dtype=np.int64),
-        **dict(zip(DriveLog._FLOAT_COLUMNS, data.T)),
-        sample_time=sample_time,
-    )
+    try:
+        return DriveLog(cycle=np.array(cycles, dtype=np.int64), **dict(zip(DriveLog._FLOAT_COLUMNS, data.T)))
+    except ValueError as exc:
+        raise LogFormatError(f"{path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -482,13 +480,13 @@ class _OffsetProfile:
         self._s = [0.0]
         self._v = [0.0]
 
-    def commit(self, station: float, value: float) -> bool:
+    def commit(self, station: float, value: float) -> None:
+        """Add a waypoint; a station that already holds one (within 1e-9 m) keeps its first value."""
         i = bisect.bisect_left(self._s, station)
         if i < len(self._s) and abs(self._s[i] - station) < 1e-9:
-            return False
+            return
         self._s.insert(i, station)
         self._v.insert(i, value)
-        return True
 
     def eval(self, station: float) -> tuple[float, float]:
         """Offset and its station derivative."""

@@ -114,6 +114,6 @@ def far_off(log, column: str, path):
         speed[300] = 1e308
         log = dataclasses.replace(log, speed=speed)
     else:
-        log = dataclasses.replace(log, t=log.cycle * 1e300)
+        log = dataclasses.replace(log, t=log.cycle * 1e300, sample_time=None)
     log.write_csv(path)
     return path

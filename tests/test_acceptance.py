@@ -141,7 +141,6 @@ def test_04_default_parameter_conformance():
     short = DriveLog(
         cycle=log.cycle[:300],
         **{name: getattr(log, name)[:300] for name in DriveLog._FLOAT_COLUMNS},
-        sample_time=log.sample_time,
     )
     trace = run_replay(short, GainMatrix(P_TRUE))
     assert len(trace.replans) == 10

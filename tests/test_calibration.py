@@ -59,7 +59,6 @@ class TestAssembleDataset:
                 name: getattr(clean_driver_log, name)[-60:]
                 for name in DriveLog._FLOAT_COLUMNS
             },
-            sample_time=clean_driver_log.sample_time,
         )
         with pytest.raises(EmptyDatasetError):
             assemble_dataset(tail)
@@ -179,7 +178,6 @@ class TestOptimizeNodeDistances:
         short = DriveLog(
             cycle=straight_log.cycle[:100],
             **{name: getattr(straight_log, name)[:100] for name in DriveLog._FLOAT_COLUMNS},
-            sample_time=straight_log.sample_time,
         )
         # a size check on the caller's arguments, not a skipped unit
         with pytest.raises(ValueError, match="^log has 100 samples, shorter than one 400-sample window$") as raised:

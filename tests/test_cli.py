@@ -77,7 +77,7 @@ class TestCalibrate:
         # timestamps in milliseconds read as a 50 s step; both commands name it
         log = load_drive_log(cohort_dir / "driver_01.csv")
         slow = tmp_path / "slow.csv"
-        dataclasses.replace(log, t=log.t * 1000.0).write_csv(slow)
+        dataclasses.replace(log, t=log.t * 1000.0, sample_time=None).write_csv(slow)
         out = tmp_path / "gains.json"
         for path, step in ((cohort_dir / "driver_01.csv", 0.05), (slow, 50.0)):
             assert main(["calibrate", "--log", str(path), "--out", str(out)]) == 0
@@ -104,7 +104,6 @@ class TestSimulate:
         short = DriveLog(
             cycle=log.cycle[:300],
             **{name: getattr(log, name)[:300] for name in DriveLog._FLOAT_COLUMNS},
-            sample_time=log.sample_time,
         )
         log_path = tmp_path / "short.csv"
         short.write_csv(log_path)

@@ -154,6 +154,13 @@ class TestSafetyMetrics:
         assert rows[0]["border_violation_pct"] == 0.0
         assert rows[0]["min_border_distance_m"] == pytest.approx(0.458)
 
+    def test_requires_projection(self, clean_driver_log, s_curve_road):
+        trace = run_replay(clean_driver_log, GainMatrix(P_TRUE), mode="validation")
+        segments = detect_curve_segments(s_curve_road)
+        message = r"^planned trace has no stations; run project_onto\(trace, corridor\) first$"
+        with pytest.raises(ValueError, match=message):
+            safety_metrics(trace, s_curve_road, VehicleSpec(), segments)
+
 
 class TestPerformanceMetrics:
     def test_self_comparison(self, straight_road, whole_route_segment):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -73,7 +74,16 @@ class TestDriveLogCsv:
         text = minimal_log_rows(3).replace("\n2,", "\n5,")
         path = tmp_path / "log.csv"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match="^cycle indices must be contiguous: row 2 has cycle 5 after 1$"):
+        message = f"^{re.escape(str(path))}: cycle indices must be contiguous: row 2 has cycle 5 after 1$"
+        with pytest.raises(LogFormatError, match=message):
+            load_drive_log(path)
+
+    def test_a_bad_cell_names_the_file(self, tmp_path):
+        text = minimal_log_rows(3).replace(",0.0,0.0,3.7\n", ",nan,0.0,3.7\n", 1)
+        assert ",nan," in text
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}: column c2 contains non-finite values$"):
             load_drive_log(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -195,6 +205,31 @@ class TestDriveLogValidation:
     def test_bad_sample_time_rejected(self):
         with pytest.raises(ValueError, match="sample_time"):
             DriveLog(**self._columns(3), sample_time=0.0)
+
+    # t's median step, or 0.05 s for one row, which says nothing of the step
+    @pytest.mark.parametrize("t,step", [
+        (np.arange(3) * 0.05, 0.05),
+        (np.arange(3) * 0.1, 0.1),
+        (np.array([0.0, 0.1, 0.2, 5.0]), 0.1),
+        (np.array([7.0]), 0.05),
+    ], ids=["0.05", "0.1", "outlier", "one-row"])
+    def test_t_sets_the_sample_time(self, t, step):
+        cols = self._columns(t.size, t=t)
+        assert DriveLog(**cols).sample_time == step
+        assert DriveLog(**cols, sample_time=step).sample_time == step
+        with pytest.raises(ValueError, match=f"^sample_time 0.075 contradicts the median step of t, {step}$"):
+            DriveLog(**cols, sample_time=0.075)
+
+    def test_a_replaced_t_cannot_keep_the_old_step(self, synth_log, tmp_path):
+        assert synth_log.sample_time == 0.05
+        t = synth_log.cycle * 1e300
+        message = r"^sample_time 0.05 contradicts the median step of t, 1.0000000000000149e\+300$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(synth_log, t=t)
+        log = dataclasses.replace(synth_log, t=t, sample_time=None)
+        path = tmp_path / "log.csv"
+        log.write_csv(path)
+        assert log.sample_time == load_drive_log(path).sample_time == 1.0000000000000149e300
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -318,7 +353,6 @@ class TestRunReplay:
         short = DriveLog(
             cycle=log.cycle[:300],
             **{name: getattr(log, name)[:300] for name in DriveLog._FLOAT_COLUMNS},
-            sample_time=log.sample_time,
         )
         trace = run_replay(short, GainMatrix(P_TRUE), retrigger=30, mode="validation")
         assert len(trace.replans) == 10
