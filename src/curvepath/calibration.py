@@ -37,10 +37,6 @@ DEFAULT_WINDOW_SAMPLES = 400
 SWEEP_HEADER = "node_count,norm_mean_error,norm_planning_time"
 
 
-class EmptyDatasetError(ValueError):
-    """No replanning cycle in the log had sufficient preview."""
-
-
 class RankDeficiencyError(ValueError):
     """The curvature inputs do not excite all three subsections."""
 
@@ -109,11 +105,7 @@ def assemble_dataset(
         kappas = average_curvatures(log.corridor(row), params.distances)
         return kappas.as_array(), extract_measured_offsets(log, row, params).as_array()
 
-    columns, skips = tally(range(0, len(log), retrigger), column)
-    if not columns:
-        raise EmptyDatasetError(
-            f"all {sum(skips.values())} replanning cycles lacked preview or a valid corridor: {skips}"
-        )
+    columns, skips = tally(range(0, len(log), retrigger), column, "replanning cycles")
     u_cols, d_cols = zip(*columns)
     return RegressionDataset(offsets=np.array(d_cols).T, inputs=np.array(u_cols).T, skips=skips)
 
@@ -349,7 +341,8 @@ def optimize_node_distances(
     positive-gap reparameterisation. Window optima are averaged; windows
     with a flat cost landscape (straight driving) are left out and counted
     as flat, and if every window is flat or skipped, with at least one
-    flat, the initial guess is returned flagged.
+    flat, the initial guess is returned flagged (road.tally raises when
+    every window is skipped).
 
     Each window fits a pose pair once: its grid and its search share one
     memo of fits. The grid's paths are projected in chunks
@@ -364,16 +357,16 @@ def optimize_node_distances(
         raise ValueError(f"log has {len(log)} samples, shorter than one {window}-sample window")
 
     anchors = range(0, len(log) - window + 1, stride)
-    found, skips = tally(anchors, lambda anchor: _window_optimum(log, anchor, window, grid_step))
+    found, skips = tally(
+        anchors, lambda anchor: _window_optimum(log, anchor, window, grid_step), "identification windows"
+    )
     optima = [optimum for optimum in found if optimum is not None]
     flat_windows = len(found) - len(optima)
     if optima:
         mean = np.array([o[:3] for o in optima]).mean(axis=0)
         params = NodePointParams(float(mean[0]), float(mean[1]), float(mean[2]))
-    elif flat_windows:
-        params = initial
     else:
-        raise EmptyDatasetError(f"no usable optimisation window ({sum(skips.values())} skipped): {skips}")
+        params = initial
     return NodeDistanceResult(params=params, window_optima=tuple(optima), skips=skips, flat_windows=flat_windows)
 
 
@@ -415,9 +408,7 @@ def node_count_tradeoff(
         raise ValueError("repeats must be at least 1")
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
-    corridors, skips = tally(range(0, len(log), retrigger), log.corridor)
-    if not corridors:
-        raise EmptyDatasetError(f"all {sum(skips.values())} replanning cycles lacked a valid corridor: {skips}")
+    corridors, skips = tally(range(0, len(log), retrigger), log.corridor, "replanning cycles")
 
     def plan_once(corridor: Corridor, count: int):
         horizon = min(corridor.length, MAX_PREVIEW_M)

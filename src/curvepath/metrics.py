@@ -52,10 +52,6 @@ class CurveSegment:
         if self.direction not in ("left", "right"):
             raise ValueError(f"direction must be 'left' or 'right', got {self.direction!r}")
 
-    @property
-    def length(self) -> float:
-        return self.end_s - self.start_s
-
     def contains(self, stations) -> np.ndarray:
         stations = np.asarray(stations, dtype=float)
         return (stations >= self.start_s) & (stations <= self.end_s)
@@ -143,8 +139,9 @@ def safety_metrics(
 
     A sample violates when a vehicle side edge leaves the lane; the border
     distance is the remaining margin of the nearer edge, clamped at zero.
-    Minima are reported per curve segment, the headline minimum is the
-    route-wide worst case.
+    The headline minimum is the route-wide worst case; the minimum within
+    each curve segment is returned on SafetyReport.per_segment_min, which no
+    report file writes.
     """
     if not vehicle.width < corridor.lane_width:
         raise ValueError(

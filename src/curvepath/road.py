@@ -250,15 +250,25 @@ class CoordinateRangeError(SkipError, ValueError):
     reason = "coordinates"
 
 
-def tally(units, step) -> tuple[list, dict[str, int]]:
+class AllSkippedError(ValueError):
+    """A loop that skipped every one of its units, so it has nothing to return."""
+
+    def __init__(self, units: str, skips: dict[str, int]):
+        super().__init__(f"all {sum(skips.values())} {units} were skipped: {skips}")
+
+
+def tally(units, step, what: str) -> tuple[list, dict[str, int]]:
     """Call step on each unit in order: the results of the units that raise
-    no SkipError, and the others counted by their reason."""
+    no SkipError, and the others counted by their reason. Raises
+    AllSkippedError, naming the units `what`, when every unit was skipped."""
     kept, skips = [], {}
     for unit in units:
         try:
             kept.append(step(unit))
         except SkipError as exc:
             skips[exc.reason] = skips.get(exc.reason, 0) + 1
+    if skips and not kept:
+        raise AllSkippedError(what, skips)
     return kept, skips
 
 

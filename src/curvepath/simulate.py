@@ -42,6 +42,7 @@ from .road import (
     DEFAULT_LANE_WIDTH_M,
     DEFAULT_PREVIEW_M,
     COORDINATE_LIMIT_M,
+    AllSkippedError,
     ChunkedProjection,
     CoordinateRangeError,
     Corridor,
@@ -63,11 +64,8 @@ TRACE_HEADER = "cycle,x,y,theta,offset,path_id"
 
 
 class LogFormatError(ValueError):
-    """A CSV file (drive log, trace, report) does not match its table's header."""
-
-
-class ReplayError(RuntimeError):
-    """Replay could not produce any valid plan."""
+    """A drive log CSV file, the one table the program reads, that does not
+    load: a bad header, row or cell, or columns that DriveLog rejects."""
 
 
 def format_float(value: float) -> str:
@@ -178,7 +176,7 @@ def json_field(obj, key: str, kind, default=None):
     return json_value(obj.get(key, default), kind, key)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DriveLog:
     """Columnar drive log: one row per perception cycle.
 
@@ -222,7 +220,7 @@ class DriveLog:
                 raise ValueError(f"column {name} has shape {arr.shape}, expected ({n},)")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"column {name} contains non-finite values")
-            setattr(self, name, arr)
+            object.__setattr__(self, name, arr)
         sample_time = DEFAULT_SAMPLE_TIME_S
         if n >= 2:
             # so an absurd t costs nothing: a step that overflows is a +-inf outlier to the median
@@ -234,7 +232,7 @@ class DriveLog:
                 raise ValueError("timestamps overflow their median step")
         if self.sample_time is not None and self.sample_time != sample_time:
             raise ValueError(f"sample_time {self.sample_time} contradicts the median step of t, {sample_time}")
-        self.sample_time = sample_time
+        object.__setattr__(self, "sample_time", sample_time)
         if np.any(self.speed < 0):
             raise ValueError("speed must be non-negative")
         if np.any(self.lane_width <= 0):
@@ -761,7 +759,7 @@ class ReplanRecord:
         return self.path is None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
     """Per-cycle replay trace plus the per-replan planning records.
 
@@ -833,8 +831,9 @@ def run_replay(
     follows the active path by arc length at the logged speed through the
     block. A replan without sufficient preview, whose lane polynomial gives
     no valid corridor or whose fit fails keeps the previous path active and
-    is recorded as a gap with its reason. The loop follows each station
-    once, in floats. Station and offset stay NaN; see perceived_offsets and
+    is recorded as a gap with its reason; if every replan is a gap, replay
+    raises road.AllSkippedError. The loop follows each station once, in
+    floats. Station and offset stay NaN; see perceived_offsets and
     metrics.project_onto.
     """
     if mode not in ("validation", "estimation"):
@@ -894,8 +893,7 @@ def run_replay(
             ex, ey, etheta = to_global(lx, ly, wrap_angle(ltheta))
             etheta = wrap_angle(etheta)
     if path_id < 0:
-        reasons = Counter(rec.reason for rec in replans)
-        raise ReplayError(f"replay produced no valid plan at any of {len(replans)} retriggers: {dict(reasons)}")
+        raise AllSkippedError("replans", dict(Counter(rec.reason for rec in replans)))
     return SimTrace(
         cycle=log.cycle.copy(),
         x=xs,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from curvepath.calibration import (
-    EmptyDatasetError,
     RankDeficiencyError,
     RegressionDataset,
     assemble_dataset,
@@ -11,6 +10,7 @@ from curvepath.calibration import (
     optimize_node_distances,
 )
 from curvepath.planner import GainMatrix, NodePointParams
+from curvepath.road import AllSkippedError
 from curvepath.simulate import (
     RoadSegmentSpec,
     ScenarioSpec,
@@ -60,7 +60,7 @@ class TestAssembleDataset:
                 for name in DriveLog._FLOAT_COLUMNS
             },
         )
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(AllSkippedError, match=r"^all 2 replanning cycles were skipped: \{'preview': 2\}$"):
             assemble_dataset(tail)
 
 

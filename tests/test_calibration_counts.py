@@ -5,8 +5,9 @@ import dataclasses
 import json
 
 from curvepath import cli
-from curvepath.calibration import EmptyDatasetError, optimize_node_distances
+from curvepath.calibration import optimize_node_distances
 from curvepath.planner import NodePointParams
+from curvepath.road import AllSkippedError
 
 BAD_ROW = 60  # a replan row at the default retrigger of 30; c2 = 1.0 gives no corridor
 
@@ -45,9 +46,9 @@ def test_calibration_json_counts_flat_windows_and_skipped_sweep_replans(clean_dr
     assert (tmp_path / "sweep.csv").is_file()
 
 
-def test_failing_sweep_leaves_no_calibration_json(clean_driver_log, tmp_path, monkeypatch):
+def test_failing_sweep_leaves_no_calibration_json(clean_driver_log, tmp_path, monkeypatch, capsys):
     def failing_sweep(log, retrigger):
-        raise EmptyDatasetError("no valid corridor")
+        raise AllSkippedError("replanning cycles", {"corridor": 25})
 
     monkeypatch.setattr(cli, "node_count_tradeoff", failing_sweep)
     log_path = tmp_path / "clean.csv"
@@ -55,3 +56,4 @@ def test_failing_sweep_leaves_no_calibration_json(clean_driver_log, tmp_path, mo
     out = tmp_path / "calibration.json"
     assert cli.main(["calibrate", "--log", str(log_path), "--out", str(out), "--sweep-nodes"]) == 2
     assert not out.exists()
+    assert "all 25 replanning cycles were skipped: {'corridor': 25}" in capsys.readouterr().err

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from curvepath import calibration
-from curvepath.calibration import EmptyDatasetError, node_count_tradeoff, optimize_node_distances
+from curvepath.calibration import node_count_tradeoff, optimize_node_distances
 from curvepath.planner import NodePointParams
+from curvepath.road import AllSkippedError
 
 
 def test_window_without_valid_corridor_is_skipped(clean_driver_log):
@@ -59,7 +60,8 @@ def test_sweep_skips_a_replan_without_valid_corridor(clean_driver_log):
 def test_sweep_without_any_valid_corridor_raises(clean_driver_log):
     corrupted = dataclasses.replace(clean_driver_log, c2=np.full_like(clean_driver_log.c2, 1.0))
     replans = len(range(0, len(clean_driver_log), calibration.DEFAULT_RETRIGGER_CYCLES))
-    with pytest.raises(EmptyDatasetError, match=f"all {replans} replanning cycles"):
+    message = f"all {replans} replanning cycles were skipped: {{'corridor': {replans}}}"
+    with pytest.raises(AllSkippedError, match=message):
         node_count_tradeoff(corrupted, counts=(1, 2), repeats=1)
 
 

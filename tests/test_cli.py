@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from curvepath import cli
 from curvepath.cli import main
 from curvepath.planner import GainMatrix
 from curvepath.simulate import (
@@ -213,6 +214,16 @@ class TestCaseStudyCommand:
 
 
 class TestUsageErrors:
+    def test_a_key_error_is_a_bug_not_bad_data(self, tmp_path, monkeypatch):
+        # bad input exits 2 through a ValueError or an OSError; a KeyError is
+        # a fault of the program, so it surfaces with its traceback
+        def broken(scenario):
+            raise KeyError("segments")
+
+        monkeypatch.setattr(cli, "build_scenario_road", broken)
+        with pytest.raises(KeyError, match="segments"):
+            main(["synth", "--drivers", "1", "--out-dir", str(tmp_path)])
+
     def test_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out-dir", "x", "--frobnicate"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
 from curvepath.road import (
+    AllSkippedError,
     CoordinateRangeError,
     Corridor,
     CorridorError,
@@ -203,8 +205,23 @@ def test_tally_keeps_results_in_order_and_counts_skips_by_reason():
             raise CoordinateRangeError("far")
         return unit * 10
 
-    assert tally(range(8), step) == ([10, 20, 50, 70], {"corridor": 3, "coordinates": 1})
-    assert tally([], step) == ([], {})
+    assert tally(range(8), step, "units") == ([10, 20, 50, 70], {"corridor": 3, "coordinates": 1})
+    assert tally([], step, "units") == ([], {})
     # an error that is not a skip is not counted
     with pytest.raises(ZeroDivisionError):
-        tally([1, 0], lambda unit: 1 / unit)
+        tally([1, 0], lambda unit: 1 / unit, "units")
+
+
+def test_tally_raises_when_every_unit_is_skipped():
+    def step(unit):
+        if unit == 4:
+            raise CoordinateRangeError("far")
+        if unit != 5:
+            raise CorridorError("bad")
+        return unit
+
+    message = "all 5 cycles were skipped: {'corridor': 4, 'coordinates': 1}"
+    with pytest.raises(AllSkippedError, match=f"^{re.escape(message)}$"):
+        tally(range(5), step, "cycles")
+    # one kept unit is enough
+    assert tally(range(6), step, "cycles") == ([5], {"corridor": 4, "coordinates": 1})

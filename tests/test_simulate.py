@@ -235,6 +235,16 @@ class TestDriveLogValidation:
         with pytest.raises(ValueError, match="finite"):
             DriveLog(**self._columns(3, x=np.array([0.0, np.nan, 2.5])))
 
+    def test_a_log_and_its_trace_cannot_be_reassigned(self):
+        # a new column would skip every check, the sample-time rule included
+        log = DriveLog(**self._columns(5))
+        trace = run_replay(log, GainMatrix.zeros())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            log.t = log.t * 1000
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.x = trace.x + 1.0
+        assert log.sample_time == 0.05
+
 
 class TestScenarioRoad:
     def test_single_straight(self):

@@ -11,15 +11,14 @@ import pytest
 
 from curvepath import calibration, cli, planner
 from curvepath.calibration import (
-    EmptyDatasetError,
     assemble_dataset,
     node_count_tradeoff,
     optimize_node_distances,
 )
 from curvepath.clothoid import FitError
 from curvepath.planner import DEFAULT_RETRIGGER_CYCLES, GainMatrix, NodePointParams
-from curvepath.road import CoordinateRangeError, SkipError
-from curvepath.simulate import ReplayError, load_drive_log, run_replay
+from curvepath.road import AllSkippedError, CoordinateRangeError, SkipError
+from curvepath.simulate import load_drive_log, run_replay
 
 from conftest import P_TRUE
 
@@ -189,32 +188,32 @@ def test_calibration_error_names_the_reason(corrupted_log, tmp_path, capsys):
     # the log's one 400-row window starts at the corrupted row 0
     assert _calibrate(corrupted_log, tmp_path) == (2, None)
     err = capsys.readouterr().err
-    assert "no usable optimisation window (1 skipped): {'corridor': 1}" in err
+    assert "all 1 identification windows were skipped: {'corridor': 1}" in err
     assert "Traceback" not in err
 
 
 def test_short_preview_errors_name_the_reason(clean_driver_log):
     short = dataclasses.replace(clean_driver_log, preview_length=10.0)
-    with pytest.raises(EmptyDatasetError, match=r"\(6 skipped\): {'few_stations': 6}"):
+    with pytest.raises(AllSkippedError, match="all 6 identification windows were skipped: {'few_stations': 6}"):
         optimize_node_distances(short, NodePointParams(), window=120, stride=120)
     replans = len(range(0, len(short), DEFAULT_RETRIGGER_CYCLES))
-    message = rf"all {replans} replanning cycles.*{{'preview': {replans}}}"
-    with pytest.raises(EmptyDatasetError, match=message):
+    message = f"all {replans} replanning cycles were skipped: {{'preview': {replans}}}"
+    with pytest.raises(AllSkippedError, match=message):
         assemble_dataset(short)
 
 
 def test_sweep_error_names_the_reason(clean_driver_log):
     corrupted = dataclasses.replace(clean_driver_log, c2=np.full_like(clean_driver_log.c2, 1.0))
     replans = len(range(0, len(clean_driver_log), DEFAULT_RETRIGGER_CYCLES))
-    message = rf"all {replans} replanning cycles.*{{'corridor': {replans}}}"
-    with pytest.raises(EmptyDatasetError, match=message):
+    message = f"all {replans} replanning cycles were skipped: {{'corridor': {replans}}}"
+    with pytest.raises(AllSkippedError, match=message):
         node_count_tradeoff(corrupted, counts=(1, 2), repeats=1)
 
 
 def test_replay_error_names_the_reasons(clean_driver_log):
     replans = len(range(0, len(clean_driver_log), DEFAULT_RETRIGGER_CYCLES))
-    message = rf"no valid plan at any of {replans} retriggers: {{'preview': {replans}}}"
-    with pytest.raises(ReplayError, match=message):
+    message = f"all {replans} replans were skipped: {{'preview': {replans}}}"
+    with pytest.raises(AllSkippedError, match=message):
         run_replay(clean_driver_log, GainMatrix(P_TRUE), NodePointParams(10.0, 39.0, 200.0))
 
 
@@ -223,13 +222,20 @@ def test_dataset_sweep_and_replay_agree_on_the_reason(tmp_path):
     assert cli.main(["synth", "--drivers", "1", "--out-dir", str(tmp_path)]) == 0
     entry_log = load_drive_log(tmp_path / "driver_01.csv")
     assert assemble_dataset(entry_log).skips == {"preview": 3}
-    # with no corridor anywhere they count as corridor skips in every loop
+    # with no corridor anywhere they count as corridor skips in every loop,
+    # and each loop, keeping nothing, raises one error in one form
     no_corridor = dataclasses.replace(entry_log, c2=np.full_like(entry_log.c2, 1.0))
     replans = len(range(0, len(entry_log), DEFAULT_RETRIGGER_CYCLES))
-    reasons = re.escape(str({"corridor": replans}))
-    with pytest.raises(EmptyDatasetError, match=reasons):
+
+    def all_skipped(n, units):
+        message = f"all {n} {units} were skipped: {{'corridor': {n}}}"
+        return pytest.raises(AllSkippedError, match=f"^{re.escape(message)}$")
+
+    with all_skipped(replans, "replanning cycles"):
         assemble_dataset(no_corridor)
-    with pytest.raises(EmptyDatasetError, match=reasons):
+    with all_skipped(replans, "replanning cycles"):
         node_count_tradeoff(no_corridor, counts=(1, 2), repeats=1)
-    with pytest.raises(ReplayError, match=reasons):
+    with all_skipped(1, "identification windows"):
+        optimize_node_distances(no_corridor, NodePointParams())
+    with all_skipped(replans, "replans"):
         run_replay(no_corridor, GainMatrix(P_TRUE), mode="estimation")
