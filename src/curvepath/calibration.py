@@ -86,7 +86,7 @@ class CalibrationResult:
 
 def assemble_dataset(
     log: DriveLog,
-    params: NodePointParams | None = None,
+    params: NodePointParams = NodePointParams(),
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
 ) -> RegressionDataset:
     """One dataset column per replanning cycle with sufficient preview.
@@ -97,7 +97,6 @@ def assemble_dataset(
     counted by reason when its lane polynomial gives no valid corridor or,
     checked next as in replay, it lacks preview.
     """
-    params = params or NodePointParams()
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
 
@@ -242,17 +241,15 @@ def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, fits=
 def _grid_costs(paths, pts) -> list[float]:
     """_window_cost of each of the sampled paths (inf for None), bit for bit,
     with the paths projected in chunks (road.ChunkedProjection)."""
-    means = []
-    projection = ChunkedProjection(lambda signed: means.append(float(np.abs(signed).mean())))
+    costs = []
+    projection = ChunkedProjection(lambda i, signed: costs.__setitem__(i, float(np.abs(signed).mean())))
     px, py = pts.T
-    scored = []
-    for path in paths:
-        scored.append(path is not None)
+    for i, path in enumerate(paths):
+        costs.append(math.inf)
         if path is not None:
-            projection.add(*path, px, py)
+            projection.add(i, *path, px, py)
     projection.flush()
-    means = iter(means)
-    return [next(means) if found else math.inf for found in scored]
+    return costs
 
 
 _FLAT_COST_EPS = 1e-4
@@ -261,13 +258,13 @@ _FLAT_COST_EPS = 1e-4
 _PREVIEW_TIEBREAK = 3e-5
 
 
-class FewStationsError(SkipError, ValueError):
+class FewStationsError(SkipError):
     """A window with too few recorded stations inside its horizon to place the nodes."""
 
     reason = "few_stations"
 
 
-class NoFiniteCostError(SkipError, ValueError):
+class NoFiniteCostError(SkipError):
     """A window where no candidate of the grid gives a path."""
 
     reason = "no_finite_cost"

@@ -58,7 +58,7 @@ from .simulate import (
 USAGE_ERROR = 1
 DATA_ERROR = 2
 # the exceptions that end a command with DATA_ERROR instead of a traceback
-DATA_ERRORS = (ValueError, RuntimeError, OSError)
+DATA_ERRORS = (ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):

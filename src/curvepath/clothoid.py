@@ -53,7 +53,7 @@ FIT_RESIDUAL_TOL = 1e-12
 MIN_CHORD_M = 1e-6
 
 
-class FitError(SkipError, RuntimeError):
+class FitError(SkipError):
     """A G1 fit that gives no segment; the message says why."""
 
     reason = "fit"

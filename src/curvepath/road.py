@@ -191,12 +191,13 @@ def project_to_polyline(x, y, px, py, starts=None, line=None) -> tuple[np.ndarra
 class ChunkedProjection:
     """Signed distances of many (polyline, points) pairs, projected in chunks.
 
-    add() gathers a polyline through (x, y) and its points (px, py). Once
-    the gathered polylines hold PROJECT_VERTICES vertices, they go through
-    one many-polyline project_to_polyline call; flush() projects the rest.
-    Each pair's signed distances go to `each` in the order the pairs were
-    added, as soon as its chunk is projected, bit for bit those of a call
-    with its polyline alone (up to the ties project_to_polyline names).
+    add(key, ...) gathers a polyline through (x, y) and its points (px, py)
+    under the caller's key. Once the gathered polylines hold PROJECT_VERTICES
+    vertices, they go through one many-polyline project_to_polyline call;
+    flush() projects the rest. Each pair's signed distances go to
+    `each(key, signed)` as soon as its chunk is projected, bit for bit those
+    of a call with its polyline alone (up to the ties project_to_polyline
+    names).
     """
 
     def __init__(self, each):
@@ -204,8 +205,8 @@ class ChunkedProjection:
         self._pairs = []
         self._vertices = 0
 
-    def add(self, x, y, px, py) -> None:
-        self._pairs.append((x, y, px, py))
+    def add(self, key, x, y, px, py) -> None:
+        self._pairs.append((key, x, y, px, py))
         self._vertices += len(x)
         if self._vertices >= PROJECT_VERTICES:
             self.flush()
@@ -213,7 +214,7 @@ class ChunkedProjection:
     def flush(self) -> None:
         if not self._pairs:
             return
-        xs, ys, pxs, pys = zip(*self._pairs)
+        keys, xs, ys, pxs, pys = zip(*self._pairs)
         self._pairs, self._vertices = [], 0
         sizes = [len(px) for px in pxs]
         _, _, signed = project_to_polyline(
@@ -222,29 +223,29 @@ class ChunkedProjection:
             np.repeat(np.arange(len(xs)), sizes),
         )
         bounds = np.cumsum([0] + sizes).tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            self._each(signed[lo:hi])
+        for key, lo, hi in zip(keys, bounds, bounds[1:]):
+            self._each(key, signed[lo:hi])
 
 
-class SkipError(Exception):
+class SkipError(ValueError):
     """A unit that cannot be planned; the loops that drop it count its `reason`."""
 
     reason: str
 
 
-class CorridorError(SkipError, ValueError):
+class CorridorError(SkipError):
     """Midline samples that do not form a valid corridor."""
 
     reason = "corridor"
 
 
-class InsufficientPreviewError(SkipError, ValueError):
+class InsufficientPreviewError(SkipError):
     """A station past the end of the corridor: the preview is too short."""
 
     reason = "preview"
 
 
-class CoordinateRangeError(SkipError, ValueError):
+class CoordinateRangeError(SkipError):
     """A point or polyline too far out to project, or not finite."""
 
     reason = "coordinates"

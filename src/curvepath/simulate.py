@@ -627,7 +627,7 @@ def fit_lane_polynomial(
 def generate_synthetic_driver_log(
     road: Corridor,
     driver: SyntheticDriverSpec,
-    params: NodePointParams | None = None,
+    params: NodePointParams = NodePointParams(),
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
     speed: float = DEFAULT_SPEED_MPS,
 ) -> DriveLog:
@@ -645,7 +645,6 @@ def generate_synthetic_driver_log(
     fit feeds the next commit. Each row's fit equals fit_lane_polynomial at
     that row. The log is byte-deterministic per seed.
     """
-    params = params or NodePointParams()
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
     step = speed * DEFAULT_SAMPLE_TIME_S
@@ -709,15 +708,16 @@ def node_row_indices(log: DriveLog, row: int, distances) -> list[int]:
     """Rows at which the recorded vehicle has travelled closest to each node
     distance ahead of `row` (distance integrates the logged speed)."""
     speeds = log.speed[row:]
-    # stations[j] is where row + j was logged; the last lies a cycle past the log's end
-    stations = np.concatenate(([0.0], np.cumsum(speeds * log.sample_time)))
+    # stations[j] is where row + j was logged (inf past an overflow); the last
+    # lies a cycle past the log's end
+    with np.errstate(over="ignore"):
+        stations = np.concatenate(([0.0], np.cumsum(speeds * log.sample_time)))
     indices = []
     for d in distances:
         k = int(np.searchsorted(stations, d))
         candidates = [j for j in (k - 1, k) if 0 <= j < stations.size]
         best = min(candidates, key=lambda j: abs(stations[j] - d))
-        local_step = max(float(np.max(speeds[: best + 1], initial=0.0)) * log.sample_time, 1e-9)
-        if best == speeds.size or abs(stations[best] - d) > local_step:
+        if best == speeds.size:
             raise InsufficientPreviewError(
                 f"log ends {d - stations[-2]:.1f} m before the node point "
                 f"{d:.1f} m ahead of cycle {int(log.cycle[row])}"
@@ -819,7 +819,7 @@ def _replan_corridor(log: DriveLog, row: int, x: float, y: float) -> Corridor:
 def run_replay(
     log: DriveLog,
     gains: GainMatrix,
-    params: NodePointParams | None = None,
+    params: NodePointParams = NodePointParams(),
     retrigger: int = DEFAULT_RETRIGGER_CYCLES,
     mode: str = "validation",
 ) -> SimTrace:
@@ -840,8 +840,6 @@ def run_replay(
         raise ValueError(f"mode must be 'validation' or 'estimation', got {mode!r}")
     if retrigger < 1:
         raise ValueError("retrigger must be at least 1")
-    params = params or NodePointParams()
-
     n = len(log)
     speeds = log.speed.tolist()
     dt = log.sample_time
@@ -921,9 +919,8 @@ def perceived_offsets(log: DriveLog, trace: SimTrace) -> SimTrace:
     """
     n = len(trace)
     starts = [rec.cycle - int(log.cycle[0]) for rec in trace.replans] + [n]
-    blocks: list[slice] = []
-    measured: list[np.ndarray] = []
-    projection = ChunkedProjection(measured.append)
+    offsets = np.full(n, np.nan)
+    projection = ChunkedProjection(offsets.__setitem__)
     corr = None
     for rec, lo, stop in zip(trace.replans, starts, starts[1:]):
         if not rec.gap:
@@ -932,10 +929,6 @@ def perceived_offsets(log: DriveLog, trace: SimTrace) -> SimTrace:
         # the bound project_to_polyline checks, taken per block so that an
         # out-of-range block costs its own rows, not its chunk's
         if corr is not None and np.abs(np.concatenate((corr.x, corr.y, px, py))).max() < COORDINATE_LIMIT_M:
-            blocks.append(slice(lo, stop))
-            projection.add(corr.x, corr.y, px, py)
+            projection.add(slice(lo, stop), corr.x, corr.y, px, py)
     projection.flush()
-    offsets = np.full(n, np.nan)
-    for block, signed in zip(blocks, measured):
-        offsets[block] = signed
     return replace(trace, offset=offsets)

@@ -224,6 +224,16 @@ class TestUsageErrors:
         with pytest.raises(KeyError, match="segments"):
             main(["synth", "--drivers", "1", "--out-dir", str(tmp_path)])
 
+    def test_a_recursion_error_is_a_bug_not_bad_data(self, tmp_path, monkeypatch):
+        # a RuntimeError is no data error either: every skip and failed fit
+        # is a ValueError
+        def broken(scenario):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "build_scenario_road", broken)
+        with pytest.raises(RecursionError):
+            main(["synth", "--drivers", "1", "--out-dir", str(tmp_path)])
+
     def test_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out-dir", "x", "--frobnicate"])

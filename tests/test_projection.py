@@ -209,19 +209,20 @@ class TestManyPolylines:
 
         monkeypatch.setattr(road, "project_to_polyline", counted)
         got = []
-        projection = road.ChunkedProjection(got.append)
+        projection = road.ChunkedProjection(lambda key, signed: got.append((key, signed)))
         projection.flush()
         assert not calls
-        for pair in pairs:
-            projection.add(*pair)
+        for i, pair in enumerate(pairs):
+            projection.add(f"pair {i}", *pair)
             # every pair of a projected chunk is handed over at once
             assert len(got) == sum(polylines for _, polylines, _ in calls)
         projection.flush()
         projection.flush()
         monkeypatch.undo()
 
-        assert len(got) == len(pairs)
-        for (x, y, px, py), signed in zip(pairs, got):
+        # each key once, in the order added, with its own pair's distances
+        assert [key for key, _ in got] == [f"pair {i}" for i in range(len(pairs))]
+        for (x, y, px, py), (_, signed) in zip(pairs, got):
             assert signed.tobytes() == project_to_polyline(x, y, px, py)[2].tobytes()
         # a chunk closes at the first polyline that brings it to the budget
         assert all(last_start < budget <= vertices for vertices, _, last_start in calls[:-1])

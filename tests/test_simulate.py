@@ -326,6 +326,43 @@ class TestMeasuredOffsets:
         rows = node_row_indices(clean_driver_log, 0, (10.0, 39.0, 137.0))
         assert rows == [8, 31, 110]
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_node_rows_are_the_nearest_station(self, data):
+        # stops (zero speeds), subnormal and huge speeds and steps: each row
+        # is the logged row nearest the node distance, the last of a stop
+        # short of it or the first of a stop past it, and a nearest station
+        # one cycle past the log's end lacks preview
+        from curvepath.road import InsufficientPreviewError
+
+        speed = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e308, allow_subnormal=True))
+        speeds = data.draw(st.lists(speed, min_size=1, max_size=12))
+        step = data.draw(st.sampled_from([1e-9, 0.05, 1.0, 1e300]))
+        n = len(speeds)
+        log = DriveLog(
+            cycle=np.arange(n), t=np.arange(n) * step, x=np.zeros(n), y=np.zeros(n),
+            theta=np.zeros(n), speed=np.array(speeds), c0=np.zeros(n), c1=np.zeros(n),
+            c2=np.zeros(n), c3=np.zeros(n), lane_width=np.full(n, 3.7),
+        )
+        row = data.draw(st.integers(0, n - 1))
+        stations = [0.0]
+        for v in speeds[row:]:
+            stations.append(stations[-1] + v * log.sample_time)
+        near_station = st.builds(lambda s, f: s * f, st.sampled_from(stations), st.sampled_from([0.5, 1.0, 1.5]))
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True)
+        d = data.draw(st.one_of(positive, near_station.filter(lambda d: 0 < d < math.inf)))
+
+        def key(j):
+            below = stations[j] < d
+            return (abs(stations[j] - d), not below, -j if below else j)
+
+        best = min(range(len(stations)), key=key)
+        if best == len(speeds) - row:
+            with pytest.raises(InsufficientPreviewError):
+                node_row_indices(log, row, (d,))
+        else:
+            assert node_row_indices(log, row, (d,)) == [row + best]
+
     def test_insufficient_preview_near_log_end(self, clean_driver_log):
         from curvepath.road import InsufficientPreviewError
 
