@@ -38,6 +38,7 @@ from .metrics import (
     write_safety_report,
 )
 from .planner import DEFAULT_NODE_DISTANCES, DEFAULT_RETRIGGER_CYCLES, GainMatrix, NodePointParams
+from .road import AllSkippedError
 from .simulate import (
     DriveLog,
     ScenarioSpec,
@@ -176,10 +177,17 @@ def _cmd_calibrate(args) -> int:
     extras: dict = {}
     if args.optimize_distances:
         opt = optimize_node_distances(log, result_distances)
+        # the gain fit at the distances the search started from, beside the
+        # one at the identified distances below
+        try:
+            initial_rms = fit_gain_matrix(assemble_dataset(log, result_distances, settings.retrigger)).residual_rms
+        except AllSkippedError:
+            initial_rms = None
         result_distances = opt.params
         extras["distance_optimization"] = {
             "flat_cost": opt.flat_cost,
             "flat_windows": opt.flat_windows,
+            "initial_residual_rms": initial_rms,
             "skipped_by_reason": opt.skips,
             "skipped_windows": opt.skipped_windows,
             "window_optima": [list(o) for o in opt.window_optima],

@@ -51,7 +51,8 @@ class LanePolynomial:
 
     y = c0 + c1*x + (c2/2)*x^2 + (c3/6)*x^3: c0 is the lateral distance of
     the midline at x = 0, c1 its slope, c2 the curvature and c3 the
-    curvature rate at x = 0.
+    curvature rate at x = 0. The preview lies below 1e100 m
+    (COORDINATE_LIMIT_M), so the corridor's x grid and its powers stay finite.
     """
 
     c0: float
@@ -61,8 +62,8 @@ class LanePolynomial:
     preview_length: float = DEFAULT_PREVIEW_M
 
     def __post_init__(self):
-        if not self.preview_length > 0:
-            raise ValueError("preview_length must be positive")
+        if not 0 < self.preview_length < COORDINATE_LIMIT_M:
+            raise ValueError(f"preview_length must be positive and below {COORDINATE_LIMIT_M:.0e} m")
         for name in ("c0", "c1", "c2", "c3"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -305,7 +306,8 @@ class Corridor:
     integrate curvature without 2*pi seams; poses returned by poses_at() carry
     wrapped headings. The constructor copies its inputs and validates them in
     full. The arrays are read-only afterwards, so a corridor derived from a
-    valid one (transformed, window) is checked only where its derivation can
+    valid one (transformed, window), or sampled from a lane polynomial
+    (corridor_from_polynomial), is checked only where its derivation can
     break a rule.
     """
 
@@ -345,7 +347,8 @@ class Corridor:
     @classmethod
     def _derived(cls, lane_width: float, *arrays: np.ndarray) -> "Corridor":
         """Corridor from arrays s, x, y, theta, kappa that are valid by
-        construction and that no caller can write to; nothing is copied."""
+        construction or checked by the caller where its derivation can break
+        a rule, and that no caller can write to; nothing is copied."""
         corridor = object.__new__(cls)
         object.__setattr__(corridor, "lane_width", lane_width)
         corridor._store(arrays)
@@ -491,8 +494,14 @@ def corridor_from_polynomial(
     Samples cover x in [0, preview_length]; heading is atan(dy/dx), curvature
     y'' / (1 + y'^2)^(3/2), and arc length accumulates chord lengths. The x
     grid, its powers and its steps are cached per (preview, step) as
-    read-only arrays; Corridor copies x, so no corridor holds a cached array.
-    Raises CorridorError when a bound on |y'| reaches 1e100, where (1 + y'^2)^1.5 nears overflow.
+    read-only arrays; the corridor gets a copy of x.
+
+    Checks only what a polynomial can break, with the constructor's
+    messages: a bound on |y'| that reaches 1e100, where (1 + y'^2)^1.5 nears
+    overflow, lane_width, and the step rule (arc length stops rising once y
+    moves by an ulp of a huge c0, as for LanePolynomial(1e100, 0, 1e80, 0)).
+    Shapes, s[0] = 0 and finite channels hold by construction for finite
+    coefficients under the slope bound and a preview below 1e100 m.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -501,6 +510,8 @@ def corridor_from_polynomial(
     slope = abs(c1) + poly.preview_length * (abs(c2) + 0.5 * poly.preview_length * abs(c3))
     if not slope < 1e100:
         raise CorridorError(f"lane polynomial too steep to sample (slope up to {slope:.3e})")
+    if not lane_width > 0:
+        raise CorridorError("lane_width must be positive")
     # y(x) as LanePolynomial defines it and its first two derivatives
     ys = c0 + c1 * xs + 0.5 * c2 * xs2 + (1.0 / 6.0) * c3 * xs3
     dy = c1 + c2 * xs + 0.5 * c3 * xs2
@@ -508,4 +519,6 @@ def corridor_from_polynomial(
     s = np.empty(xs.size)
     s[0] = 0.0
     np.cumsum(np.hypot(dx, ys[1:] - ys[:-1]), out=s[1:])
-    return Corridor(s=s, x=xs, y=ys, theta=np.arctan(dy), kappa=kappa, lane_width=lane_width)
+    theta = np.arctan(dy)
+    _check_steps(s, theta, kappa)
+    return Corridor._derived(lane_width, s, xs.copy(), ys, theta, kappa)

@@ -726,17 +726,30 @@ def node_row_indices(log: DriveLog, row: int, distances) -> list[int]:
     return indices
 
 
+class ResolutionError(SkipError):
+    """A log that travels too far per cycle to place a replan's node points
+    on distinct rows ahead of it."""
+
+    reason = "resolution"
+
+
 def extract_measured_offsets(log: DriveLog, row: int, params: NodePointParams) -> OffsetVector:
     """Driver-selected lateral offsets at the node points ahead of `row`.
 
     Reads the perceived midline offset channel (the polynomial intercept) of
     the rows nearest to each node distance; the intercept is the signed
     perpendicular distance of the midline from the vehicle, so its negation
-    is the vehicle's offset, positive left. An intercept of 1e100 m or more
-    (COORDINATE_LIMIT_M) raises CoordinateRangeError naming its cycle, so
-    the replan that reads it is skipped before a solve can overflow.
+    is the vehicle's offset, positive left. Node rows that are not strictly
+    increasing and past `row` raise ResolutionError, naming the cycle, its
+    travel and the node distances; an intercept of 1e100 m or more
+    (COORDINATE_LIMIT_M) raises CoordinateRangeError naming its cycle. Either
+    way the replan that reads them is skipped.
     """
     rows = node_row_indices(log, row, params.distances)
+    if any(a >= b for a, b in zip([row, *rows], rows)):
+        distances = ", ".join(f"{d:g}" for d in params.distances)
+        raise ResolutionError(f"cycle {log.cycle[row]} travels {log.speed[row] * log.sample_time:.4g} m per cycle, "
+                              f"too far to place node points {distances} m ahead on distinct later rows")
     for j in rows:
         if not abs(log.c0[j]) < COORDINATE_LIMIT_M:
             raise CoordinateRangeError(f"lane offset c0 = {log.c0[j]:.3e} m at cycle {log.cycle[j]}, a node point of "

@@ -45,6 +45,16 @@ def winding_log():
 
 
 @pytest.fixture(scope="session")
+def noise_free_winding_csv(tmp_path_factory):
+    """The winding log of `curvepath synth --drivers 1 --scenario winding
+    --sigma 0`: 2601 rows at 1.25 m per cycle, with the stock node distances."""
+    out = tmp_path_factory.mktemp("winding")
+    argv = ["synth", "--drivers", "1", "--scenario", "winding", "--sigma", "0", "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    return out / "driver_01.csv"
+
+
+@pytest.fixture(scope="session")
 def synth_log(tmp_path_factory):
     """The S-curve log of `curvepath synth --drivers 1 --seed 4`: 745 rows."""
     out = tmp_path_factory.mktemp("synth")

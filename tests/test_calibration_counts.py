@@ -4,10 +4,13 @@ skipped, and the calibration JSON carries the window and sweep counts."""
 import dataclasses
 import json
 
+import pytest
+
 from curvepath import cli
-from curvepath.calibration import optimize_node_distances
+from curvepath.calibration import assemble_dataset, fit_gain_matrix, optimize_node_distances
 from curvepath.planner import NodePointParams
 from curvepath.road import AllSkippedError
+from curvepath.simulate import load_drive_log
 
 BAD_ROW = 60  # a replan row at the default retrigger of 30; c2 = 1.0 gives no corridor
 
@@ -57,3 +60,25 @@ def test_failing_sweep_leaves_no_calibration_json(clean_driver_log, tmp_path, mo
     assert cli.main(["calibrate", "--log", str(log_path), "--out", str(out), "--sweep-nodes"]) == 2
     assert not out.exists()
     assert "all 25 replanning cycles were skipped: {'corridor': 25}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("far", [137, 250])
+def test_calibration_json_names_the_residual_at_the_initial_distances(noise_free_winding_csv, tmp_path, far):
+    # the stock distances are the synthetic driver's own, so the gain fit
+    # there is exact; a far node at 250 m lies past every corridor (150 m
+    # of x, up to 210 m of arc) and skips every replan there, while
+    # identification still finds distances that fit
+    out = tmp_path / "calibration.json"
+    argv = ["calibrate", "--log", str(noise_free_winding_csv), "--out", str(out), "--optimize-distances",
+            "--node-distances", "10", "39", str(far)]
+    assert cli.main(argv) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    initial = payload["distance_optimization"]["initial_residual_rms"]
+    if far == 137:
+        log = load_drive_log(noise_free_winding_csv)
+        assert initial == fit_gain_matrix(assemble_dataset(log)).residual_rms
+        assert initial < 1e-12
+    else:
+        assert initial is None
+        with pytest.raises(AllSkippedError, match="all 87 replanning cycles were skipped: {'preview': 87}"):
+            assemble_dataset(load_drive_log(noise_free_winding_csv), NodePointParams(10.0, 39.0, 250.0))

@@ -75,12 +75,14 @@ class TestCalibrate:
         assert "rank" in capsys.readouterr().err
 
     def test_outputs_name_the_sample_time(self, cohort_dir, tmp_path, capsys):
-        # timestamps in milliseconds read as a 50 s step; both commands name it
+        # timestamps at twice the step read as a 0.1 s step; both commands
+        # name it (in milliseconds, a 50 s step, no node point finds a row of
+        # its own: test_skip_reasons.py)
         log = load_drive_log(cohort_dir / "driver_01.csv")
         slow = tmp_path / "slow.csv"
-        dataclasses.replace(log, t=log.t * 1000.0, sample_time=None).write_csv(slow)
+        dataclasses.replace(log, t=log.t * 2.0, sample_time=None).write_csv(slow)
         out = tmp_path / "gains.json"
-        for path, step in ((cohort_dir / "driver_01.csv", 0.05), (slow, 50.0)):
+        for path, step in ((cohort_dir / "driver_01.csv", 0.05), (slow, 0.1)):
             assert main(["calibrate", "--log", str(path), "--out", str(out)]) == 0
             assert json.loads(out.read_text())["provenance"]["sample_time_s"] == step
             argv = ["simulate", "--log", str(path), "--mode", "estimation", "--out-prefix", str(tmp_path / "est")]

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from curvepath.planner import NodePointParams, average_curvatures
 from curvepath.road import (
+    DEFAULT_CORRIDOR_STEP_M,
+    DEFAULT_LANE_WIDTH_M,
     Corridor,
     CorridorError,
     InsufficientPreviewError,
@@ -59,9 +62,82 @@ def test_corridor_matches_the_per_call_grid(preview, step):
         assert corridor.lane_width == 3.5
 
 
+def outcome(build):
+    """A built corridor's channel bytes and lane width, or the class and
+    message of what building it raised."""
+    try:
+        corridor = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(corridor, name).tobytes() for name in ("s", "x", "y", "theta", "kappa")), corridor.lane_width
+
+
+def assert_constructor_agrees(poly: LanePolynomial, step: float, lane_width: float):
+    """corridor_from_polynomial, which checks only what a polynomial can
+    break, against the full constructor on the per-call channels."""
+    got = outcome(lambda: corridor_from_polynomial(poly, step, lane_width))
+    assert got == outcome(lambda: Corridor(*reference_channels(poly, step), lane_width=lane_width))
+    return got
+
+
+def slope_bound(poly: LanePolynomial) -> float:
+    return abs(poly.c1) + poly.preview_length * (abs(poly.c2) + 0.5 * poly.preview_length * abs(poly.c3))
+
+
+@st.composite
+def grids(draw):
+    """A preview and a step: 0.1 to 1000 m with steps of 0.1 to 3 m, or up
+    to the 1e100 m bound with at most 2001 samples."""
+    if draw(st.booleans()):
+        return draw(st.floats(0.1, 1000.0)), draw(st.floats(0.1, 3.0))
+    preview = draw(st.floats(1000.0, 1e100, exclude_max=True))
+    return preview, preview / draw(st.integers(1, 2000))
+
+
+coefficients = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=1000)
+@given(
+    c=st.tuples(coefficients, coefficients, coefficients, coefficients),
+    grid=grids(),
+    lane_width=st.one_of(st.sampled_from([0.0, -1.0, math.nan, 5e-324, 3.7]), st.floats(0.01, 10.0)),
+)
+def test_polynomial_corridor_checks_what_the_constructor_checks(c, grid, lane_width):
+    preview, step = grid
+    poly = LanePolynomial(*c, preview_length=preview)
+    assume(slope_bound(poly) < 1e100)
+    assert_constructor_agrees(poly, step, lane_width)
+
+
+@pytest.mark.parametrize(
+    "poly, lane_width, message",
+    [
+        (LanePolynomial(1e100, 0.0, 1e80, 0.0), 3.7, "corridor arc length must be strictly increasing"),
+        (LanePolynomial(0.0, 0.0, 0.0, 0.0), 0.0, "lane_width must be positive"),
+        (LanePolynomial(0.0, 0.0, 0.0, 0.0), math.nan, "lane_width must be positive"),
+        (LanePolynomial(0.0, 9.99e99, 0.0, 0.0), 3.7, None),
+    ],
+    ids=["rise", "zero-width", "nan-width", "under-the-slope-bound"],
+)
+def test_each_kept_rule_fires_as_in_the_constructor(poly, lane_width, message):
+    got = assert_constructor_agrees(poly, DEFAULT_CORRIDOR_STEP_M, lane_width)
+    if message is not None:
+        assert got == (CorridorError, message)
+
+
+def test_the_slope_bound_comes_first():
+    # before the lane width, and before (1 + y'^2)^1.5 can overflow
+    for c1 in (1e100, 1e300):
+        with pytest.raises(CorridorError, match=r"^lane polynomial too steep to sample \(slope up to 1\.000e\+[0-9]+\)$"):
+            corridor_from_polynomial(LanePolynomial(0.0, c1, 0.0, 0.0), lane_width=0.0)
+
+
 def test_curvature_of_one_is_still_rejected():
     with pytest.raises(CorridorError, match="^corridor heading increments inconsistent with curvature$"):
         corridor_from_polynomial(LanePolynomial(0.0, 0.0, 1.0, 0.0))
+    # as the full constructor rejects it
+    assert_constructor_agrees(LanePolynomial(0.0, 0.0, 1.0, 0.0), DEFAULT_CORRIDOR_STEP_M, DEFAULT_LANE_WIDTH_M)
 
 
 def test_step_is_still_checked():

@@ -50,6 +50,12 @@ class TestLanePolynomial:
         with pytest.raises(ValueError):
             LanePolynomial(0.0, 0.0, 0.0, 0.0, preview_length=0.0)
 
+    @pytest.mark.parametrize("preview", [-1.0, math.nan, 1e100, math.inf])
+    def test_preview_lies_below_the_coordinate_limit(self, preview):
+        # so the sample grid's cube stays finite
+        with pytest.raises(ValueError, match=r"^preview_length must be positive and below 1e\+100 m$"):
+            LanePolynomial(0.0, 0.0, 0.0, 0.0, preview_length=preview)
+
 
 class TestCorridorFromPolynomial:
     def test_straight(self):

@@ -363,6 +363,22 @@ class TestMeasuredOffsets:
         else:
             assert node_row_indices(log, row, (d,)) == [row + best]
 
+    @pytest.mark.parametrize(
+        "distances, rows",
+        [((10.0, 10.5, 137.0), [38, 38, 140]), ((0.5, 39.0, 137.0), [30, 61, 140])],
+        ids=["near-and-mid-share-a-row", "near-on-the-replan-row"],
+    )
+    def test_node_points_that_share_a_row_skip_the_replan(self, clean_driver_log, distances, rows):
+        # 1.25 m per cycle: 10 m and 10.5 m are both 8 rows ahead, 0.5 m is
+        # nearest the replan's own row
+        from curvepath.simulate import ResolutionError
+
+        assert node_row_indices(clean_driver_log, 30, distances) == rows
+        message = (f"cycle 30 travels 1.25 m per cycle, too far to place node points "
+                   f"{', '.join(f'{d:g}' for d in distances)} m ahead on distinct later rows")
+        with pytest.raises(ResolutionError, match=f"^{re.escape(message)}$"):
+            extract_measured_offsets(clean_driver_log, 30, NodePointParams(*distances))
+
     def test_insufficient_preview_near_log_end(self, clean_driver_log):
         from curvepath.road import InsufficientPreviewError
 

@@ -18,7 +18,7 @@ from curvepath.calibration import (
 from curvepath.clothoid import FitError
 from curvepath.planner import DEFAULT_RETRIGGER_CYCLES, GainMatrix, NodePointParams
 from curvepath.road import AllSkippedError, CoordinateRangeError, SkipError
-from curvepath.simulate import load_drive_log, run_replay
+from curvepath.simulate import ResolutionError, extract_measured_offsets, load_drive_log, run_replay
 
 from conftest import P_TRUE
 
@@ -64,7 +64,8 @@ def test_each_skip_exception_names_its_reason(error):
 def test_skip_reasons_are_unique():
     reasons = [error.reason for error in _skip_errors()]
     assert len(set(reasons)) == len(reasons)
-    assert set(reasons) >= {"corridor", "preview", "fit", "coordinates", "few_stations", "no_finite_cost"}
+    assert set(reasons) >= {"corridor", "preview", "fit", "coordinates", "few_stations", "no_finite_cost",
+                            "resolution"}
 
 
 def test_replay_gaps_name_the_corridor(corrupted_log):
@@ -239,3 +240,22 @@ def test_dataset_sweep_and_replay_agree_on_the_reason(tmp_path):
         optimize_node_distances(no_corridor, NodePointParams())
     with all_skipped(replans, "replans"):
         run_replay(no_corridor, GainMatrix(P_TRUE), mode="estimation")
+
+
+def test_a_log_too_coarse_for_its_node_points_names_the_resolution(noise_free_winding_csv, tmp_path, capsys):
+    # t in milliseconds read as seconds: 1250 m per cycle puts every node
+    # point of a replan on its own row, where it would read the current
+    # offset three times over
+    log = load_drive_log(noise_free_winding_csv)
+    coarse = dataclasses.replace(log, t=log.t * 1000, sample_time=None)
+    message = ("cycle 0 travels 1250 m per cycle, too far to place node points 10, 39, 137 m ahead on "
+               "distinct later rows")
+    with pytest.raises(ResolutionError, match=f"^{re.escape(message)}$"):
+        extract_measured_offsets(coarse, 0, NodePointParams())
+    coarse.write_csv(tmp_path / "coarse.csv")
+    out = tmp_path / "calibration.json"
+    assert cli.main(["calibrate", "--log", str(tmp_path / "coarse.csv"), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "all 87 replanning cycles were skipped: {'resolution': 87}" in err
+    assert "Traceback" not in err
