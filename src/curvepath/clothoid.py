@@ -117,30 +117,35 @@ def _scalar_phase_integrals(a: float, b: float, c: float, tau_moments: bool = Fa
     return x0, y0, x1, x2
 
 
-def _phase_integrals(a, b, c, tau_moments: bool = False):
-    """Integrals of cos/sin((a/2) t^2 + b t + c) over t in [0, 1].
+def _phase_integrals(a, b, c, grid, tau_moments: bool = False):
+    """Integrals of cos/sin((a/2) t^2 + b t + c) over t in [0, 1] on `grid`,
+    the _rule of the largest phase slope |a| + |b| of the elements.
 
     Elementwise over arrays a, b and c of one shape; c may also be one
     scalar for every element. With tau_moments also returns the first and
-    second cosine moments (needed for the fit Jacobian). One grid, sized by
-    the largest phase slope, serves every element, and each element's sum
-    is its own row, so it does not depend on the other elements.
+    second cosine moments (needed for the fit Jacobian); without them the
+    two integrals come stacked, as one array of shape (2, *a.shape). Each
+    element's sum is its own row, so it does not depend on the other
+    elements. The phase array is built once, in place, and cos and sin both
+    read it as one C-contiguous (elements, nodes) array: numpy's SIMD and
+    strided loops may round differently.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    tau, tau2, wts, _ = _rule(float(np.max(np.abs(a) + np.abs(b))))
-
-    phase = 0.5 * a[..., None] * tau2 + b[..., None] * tau + c[..., None]
-    cw = np.cos(phase) * wts
-    sw = np.sin(phase) * wts
-    x0 = cw.sum(axis=-1)
-    y0 = sw.sum(axis=-1)
+    tau, tau2, wts, _ = grid
+    a, b, c = (np.asarray(v, dtype=float)[..., None] for v in (a, b, c))
+    phase = 0.5 * a * tau2
+    phase += b * tau
+    phase += c
+    # cos and sin side by side, each weighted and summed by row
+    cw, sw = trig = np.empty((2, *phase.shape))
+    np.cos(phase, out=cw)
+    np.sin(phase, out=sw)
+    trig *= wts
+    xy0 = trig.sum(axis=-1)
     if not tau_moments:
-        return x0, y0
+        return xy0
     x1 = (cw * tau).sum(axis=-1)
     x2 = (cw * tau * tau).sum(axis=-1)
-    return x0, y0, x1, x2
+    return (*xy0, x1, x2)
 
 
 @dataclass(frozen=True)
@@ -303,22 +308,26 @@ class CompositePath:
         rule, which rejects nan: each station's segment index, local arc
         length and segment column.
         The start stations are enough to search: a station at or past the
-        path's end falls on the last segment with or without its end."""
+        path's end falls on the last segment with or without its end, so
+        only an index before the first start needs clamping."""
         if stations.size and not (stations.min() >= -1e-9 and stations.max() <= self.length + 1e-9):
             raise ValueError(f"arc length outside [0, {self.length}]")
-        idx = np.clip(np.searchsorted(self._table[0], stations, side="right") - 1, 0, len(self.segments) - 1)
+        idx = np.maximum(np.searchsorted(self._table[0], stations, side="right") - 1, 0)
         columns = self._table.take(idx, axis=1)
-        return idx, np.clip(stations - columns[0], 0.0, columns[1]), columns
+        # np.maximum gives its second argument on a tie, so a -0.0 station
+        # becomes 0.0, as np.clip with array bounds made it
+        return idx, np.minimum(np.maximum(stations - columns[0], 0.0), columns[1]), columns
 
     def sample(self, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions and unwrapped headings at path arc lengths of any shape.
 
         Every segment keeps the grid its own stations size, so no station
         depends on another segment's stations; the segments that share a
-        grid share one kernel call.
+        grid share one kernel call, which gets that grid.
         """
         stations = np.asarray(stations, dtype=float)
-        idx, s, (_, _, kappa0, kappa_rate, x, y, theta) = self._locate_many(stations.ravel())
+        idx, s, columns = self._locate_many(stations.ravel())
+        _, _, kappa0, kappa_rate, _, _, theta = columns
         s2 = s**2
         a = kappa_rate * s2
         b = kappa0 * s
@@ -326,21 +335,18 @@ class CompositePath:
         # cached, so segments on one grid share one object
         top = np.full(len(self.segments), -1.0)  # -1: no station on the segment, so no group
         np.maximum.at(top, idx, np.abs(a) + np.abs(b))
-        groups = {}
-        group_of = [-1 if slope < 0 else groups.setdefault(id(_rule(slope)), len(groups))
+        groups = {}  # id of a grid: its group number and the grid
+        group_of = [-1 if slope < 0 else groups.setdefault(id(grid := _rule(slope)), (len(groups), grid))[0]
                     for slope in top.tolist()]
-        x0 = np.empty_like(s)
-        y0 = np.empty_like(s)
+        xy = np.empty((2, s.size))
         station_group = np.array(group_of)[idx] if len(groups) > 1 else None
-        for group in range(len(groups)):
+        for group, grid in groups.values():
             rows = slice(None) if station_group is None else station_group == group
-            x0[rows], y0[rows] = _phase_integrals(a[rows], b[rows], theta[rows])
+            xy[:, rows] = _phase_integrals(a[rows], b[rows], theta[rows], grid)
+        xy *= s
+        xy += columns[4:6]  # start x and y
         shape = stations.shape
-        return (
-            (x + s * x0).reshape(shape),
-            (y + s * y0).reshape(shape),
-            (theta + kappa0 * s + 0.5 * kappa_rate * s2).reshape(shape),
-        )
+        return xy[0].reshape(shape), xy[1].reshape(shape), (theta + b + 0.5 * kappa_rate * s2).reshape(shape)
 
 
 def _fit_once(fits: dict, start: Pose, end: Pose) -> ClothoidSegment:

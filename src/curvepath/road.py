@@ -135,6 +135,17 @@ def _check_reach(reach: float) -> None:
         )
 
 
+# a point's two candidate segments: the ones ending and starting at its nearest vertex
+_CANDIDATES = np.array([[-1], [0]])
+
+
+def _check_vertices(counts) -> None:
+    """Raise ValueError unless polyline k has counts[k] >= 2 vertices for every k."""
+    for k, count in enumerate(counts):
+        if count < 2:
+            raise ValueError(f"a projection needs at least 2 vertices per polyline, and polyline {k} has {count}")
+
+
 def project_to_polyline(x, y, px, py, starts=None, line=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project points (px, py) onto the polyline through (x, y).
 
@@ -153,40 +164,62 @@ def project_to_polyline(x, y, px, py, starts=None, line=None) -> tuple[np.ndarra
     with its polyline alone, unless the point lies exactly as far from two
     vertices, a tie the two trees may break differently.
 
-    A coordinate of 1e100 m or more, or a non-finite one, raises
-    CoordinateRangeError before any arithmetic on it.
+    A polyline of fewer than two vertices raises ValueError, and a
+    coordinate of 1e100 m or more, or a non-finite one, raises
+    CoordinateRangeError, both before any arithmetic on the coordinates.
+    Both candidate segments of every point are worked out side by side, in
+    arrays with an axis for the (earlier, later) candidate.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
-    _check_reach(np.abs(np.concatenate((x, y, px, py))).max())
+    x, y, px, py = (np.asarray(v, dtype=float) for v in (x, y, px, py))
+    if x.shape != y.shape or px.shape != py.shape:
+        raise ValueError("x and y, and px and py, must have one shape each")
+    n = x.size
+    xy = np.concatenate((x, px, y, py)).reshape(2, -1)  # rows x and y: the n vertices, then the points
     if starts is None:
-        first, last = 0, x.size - 2
-        _, nearest = cKDTree(np.column_stack((x, y))).query(np.column_stack((px, py)))
+        _check_vertices((n,))
     else:
         starts = np.asarray(starts, dtype=np.intp)
+        counts = np.diff(starts, append=n)
+        _check_vertices(counts.tolist())
+    _check_reach(np.abs(xy).max())
+    verts, points = xy[:, :n], xy[:, n:]
+    if starts is None:
+        first, last = 0, n - 2
+        nearest = cKDTree(verts.T).query(points.T)[1]
+    else:
         line = np.asarray(line, dtype=np.intp)
-        first, last = starts[line], np.append(starts[1:], x.size)[line] - 2
+        first = starts[line]
+        last = first + counts[line] - 2
         # twice the diameter of the bounding box
-        separation = 2.0 * math.hypot(np.ptp(np.concatenate((x, px))), np.ptp(np.concatenate((y, py)))) + 1.0
-        z = np.repeat(np.arange(starts.size) * separation, np.diff(starts, append=x.size))
-        _, nearest = cKDTree(np.column_stack((x, y, z))).query(np.column_stack((px, py, line * separation)))
-    # rows: the segment ending at the nearest vertex, the one starting there
-    seg = np.stack((nearest - 1, nearest))
-    valid = (seg >= first) & (seg <= last)
-    seg = np.clip(seg, first, last)
-    ax, ay = x[seg], y[seg]
-    vx, vy = x[seg + 1] - ax, y[seg + 1] - ay
-    t = np.clip(((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy), 0.0, 1.0)
-    cx, cy = ax + t * vx, ay + t * vy
-    d2 = np.where(valid, (px - cx) ** 2 + (py - cy) ** 2, np.inf)
-    pick = (d2[1] < d2[0]).astype(np.intp)
-    cols = np.arange(px.size)
-    seg, t, d2 = seg[pick, cols], t[pick, cols], d2[pick, cols]
-    vx, vy = vx[pick, cols], vy[pick, cols]
-    cross = vx * (py - y[seg]) - vy * (px - x[seg])
-    return seg, t, np.copysign(np.sqrt(d2), cross)
+        separation = 2.0 * math.hypot(*np.ptp(xy, axis=1).tolist()) + 1.0
+        z = np.repeat(np.arange(starts.size) * separation, counts)
+        nearest = cKDTree(np.column_stack((*verts, z))).query(np.column_stack((*points, line * separation)))[1]
+    # clamped to the polyline, so at an end vertex both are its end segment
+    seg = nearest + _CANDIDATES
+    np.maximum(seg, first, out=seg)
+    np.minimum(seg, last, out=seg)
+    # (x, y) by candidate by point, each buffer reused once its value is spent
+    a = verts.take(seg, axis=1)  # segment start
+    v = verts.take(seg + 1, axis=1)
+    v -= a  # segment vector
+    rel = points[:, None, :] - a  # the point from the segment start
+    cross = v[0] * rel[1] - v[1] * rel[0]
+    work = np.multiply(rel, v, out=rel)
+    t = work[0] + work[1]
+    np.multiply(v, v, out=work)
+    t /= work[0] + work[1]
+    # zero first, so that a -0.0 fraction stays -0.0 (np.maximum gives its
+    # second argument on a tie), as np.clip with scalar bounds left it
+    np.maximum(0.0, t, out=t)
+    np.minimum(t, 1.0, out=t)
+    np.multiply(t, v, out=work)
+    closest = np.add(work, a, out=a)
+    off = np.subtract(points[:, None, :], closest, out=closest)
+    off *= off
+    d2 = off[0] + off[1]
+    take_later = d2[1] < d2[0]  # the earlier one on a tie
+    signed = np.copysign(np.sqrt(d2, out=d2), cross, out=d2)
+    return tuple(np.where(take_later, later, earlier) for earlier, later in (seg, t, signed))
 
 
 class ChunkedProjection:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curvepath.clothoid import ClothoidSegment, _phase_integrals, _scalar_phase_integrals, fit_composite
+from curvepath.clothoid import ClothoidSegment, _phase_integrals, _rule, _scalar_phase_integrals, fit_composite
 from curvepath.planner import NodePointParams, OffsetVector, plan_path_from_offsets
 from curvepath.road import (
     PlanningFrame,
@@ -35,7 +35,7 @@ def test_scalar_kernel_matches_array_kernel():
         c = rng.uniform(-math.pi, math.pi)
         panels_seen.add(math.ceil((abs(a) + abs(b) + 1.0) / 4.0))
         for moments in (False, True):
-            want = _phase_integrals(a, b, c, tau_moments=moments)
+            want = _phase_integrals(a, b, c, _rule(abs(a) + abs(b)), tau_moments=moments)
             got = _scalar_phase_integrals(a, b, c, tau_moments=moments)
             assert len(got) == len(want)
             for g, w in zip(got, want):

@@ -184,6 +184,17 @@ def test_a_0d_station_gives_0d_arrays(mixed_path, station):
     assert_same_bits(mixed_path.sample(station), reference_sample(mixed_path, station)[0])
 
 
+def test_a_negative_zero_station_samples_as_zero():
+    """sample() clamps a -0.0 station to the path's start, 0.0, bit for bit
+    (unlike locate(), which keeps -0.0): on a path that starts at -0.0 in x
+    and y, the sign would show in both positions."""
+    first = ClothoidSegment(Pose(-0.0, -0.0, -0.0), 0.01, 1e-4, 10.0)
+    path = CompositePath((first, ClothoidSegment(first.pose_at(10.0), 0.02, 0.0, 5.0)))
+    got = path.sample(np.array([-0.0, 0.0, 12.0]))
+    assert_same_bits(got, path.sample(np.array([0.0, 0.0, 12.0])))
+    assert not np.signbit(got[0][0]) and not np.signbit(got[1][0])
+
+
 def test_no_stations_gives_empty_arrays(mixed_path):
     for stations in ([], np.empty(0), np.empty((0, 4))):
         got = mixed_path.sample(stations)

@@ -1,8 +1,9 @@
 """Identification and the node-count sweep batch their work without moving a
 bit: grid costs scored in chunked many-polyline projections equal one
 projection per candidate, the sweep's error column equals one projection per
-path, and a window's memo of fits fits each pose pair once and gives the
-segments a fit without it gives."""
+path, a window's memo of fits fits each pose pair once and gives the
+segments a fit without it gives, and the search finds what it finds with
+the formulas that CompositePath.sample and project_to_polyline replaced."""
 
 import math
 
@@ -19,6 +20,11 @@ from curvepath.calibration import (
 from curvepath.clothoid import FitError, fit_composite
 from curvepath.planner import NodePointParams
 from curvepath.road import Pose, project_to_polyline
+from curvepath.simulate import build_scenario_road, winding_scenario
+
+from helpers import build_chained_node_log
+from test_composite_sample_bits import reference_sample
+from test_projection_bits import reference_project_to_polyline
 
 WINDOW = 120
 STRIDE = 240  # every other window, to keep the suite quick
@@ -160,3 +166,36 @@ def test_cached_failure_raises_a_new_fit_error(monkeypatch):
     assert type(again.value) is FitError and again.value.reason == "fit"
     assert str(again.value) == str(first.value) == str(plain.value)
     assert str(again.value).startswith("segment 1: endpoints are coincident")
+
+
+def test_identification_sees_the_bits_of_the_replaced_formulas(monkeypatch):
+    """A chained log as the benchmark builds one: two three-piece plans with
+    node distances (10, 39, 137) m on the 10-curve winding road, a preview
+    3 m past the far node, one 120-row window. Nelder-Mead's
+    path depends on every bit of every cost, so the optima must not move
+    when sampling and projection run on the reference formulas."""
+    truth = NodePointParams(10.0, 39.0, 137.0)
+    log = build_chained_node_log(build_scenario_road(winding_scenario(10)), truth, n_blocks=2, block_rows=110,
+                                 preview=140.0)
+    initial = NodePointParams(20.0, 60.0, 180.0)
+    found = optimize_node_distances(log, initial, window=120, stride=110)
+    assert len(found.window_optima) == 1
+    assert np.allclose(found.params.distances, truth.distances, rtol=0.0, atol=2.0)
+
+    calls = {"sample": 0, "project": 0}
+
+    def sample(path, stations):
+        calls["sample"] += 1
+        return reference_sample(path, stations)[0]
+
+    def project(*args):
+        calls["project"] += 1
+        return reference_project_to_polyline(*args)
+
+    monkeypatch.setattr(clothoid.CompositePath, "sample", sample)
+    for module in (road, calibration):
+        monkeypatch.setattr(module, "project_to_polyline", project)
+    reference = optimize_node_distances(log, initial, window=120, stride=110)
+    assert calls["sample"] > 200 and calls["project"] > 100
+    assert reference.window_optima == found.window_optima
+    assert reference.params == found.params

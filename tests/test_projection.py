@@ -230,3 +230,33 @@ class TestManyPolylines:
             assert [polylines for _, polylines, _ in calls] == [1] * len(pairs)
         else:
             assert 2 <= len(calls) < len(pairs)
+
+
+def test_coordinate_arrays_of_different_lengths_raise():
+    x = np.array([0.0, 10.0, 20.0])
+    with pytest.raises(ValueError):
+        project_to_polyline(x, x[:2], np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        project_to_polyline(x, x, np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+
+
+class TestTooFewVertices:
+    """A polyline needs two vertices to have a segment; fewer raise
+    ValueError, naming the vertex count, before any tree is built."""
+
+    def test_one_vertex(self):
+        with pytest.raises(ValueError, match="polyline 0 has 1"):
+            project_to_polyline([0.0], [0.0], [1.0], [1.0])
+
+    def test_no_vertex(self):
+        with pytest.raises(ValueError, match="polyline 0 has 0"):
+            project_to_polyline([], [], [1.0], [1.0])
+
+    def test_one_vertex_polyline_in_a_chunked_projection(self):
+        got = []
+        projection = road.ChunkedProjection(lambda key, signed: got.append(key))
+        projection.add("valid", np.array([0.0, 10.0]), np.array([0.0, 0.0]), np.array([5.0]), np.array([1.0]))
+        projection.add("point", np.array([3.0]), np.array([4.0]), np.array([5.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="polyline 1 has 1"):
+            projection.flush()
+        assert not got

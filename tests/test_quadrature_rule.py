@@ -105,7 +105,7 @@ def test_kernels_within_the_stated_bound(slope):
         for moments in (False, True):
             kinds = 4 if moments else 2
             scalar = _scalar_phase_integrals(a, b, c, tau_moments=moments)
-            array = [float(v) for v in _phase_integrals(a, b, c, tau_moments=moments)]
+            array = [float(v) for v in _phase_integrals(a, b, c, _rule(abs(a) + abs(b)), tau_moments=moments)]
             assert len(scalar) == len(array) == kinds
             for k in range(kinds):
                 tol = STATED_BOUND[k] + ROUNDING
@@ -119,7 +119,7 @@ def test_array_kernel_shares_one_grid_across_elements():
     # element stays within the bound of the finer grid
     a = np.array([0.3, -5.0, 40.0, 1e-3])
     b = np.array([-0.2, 2.0, -10.0, 0.0])
-    x0, y0 = _phase_integrals(a, b, 0.7)
+    x0, y0 = _phase_integrals(a, b, 0.7, _rule(float(np.max(np.abs(a) + np.abs(b)))))
     for k in range(len(a)):
         exact = quadpack_integrals(a[k], b[k], 0.7)
         assert abs(x0[k] - exact[0]) <= STATED_BOUND[0] + ROUNDING
