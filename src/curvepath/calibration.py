@@ -26,7 +26,7 @@ from .planner import (
     NodePointParams,
     average_curvatures,
 )
-from .road import ChunkedProjection, Corridor, SkipError, offset_point, project_to_polyline, tally
+from .road import ChunkedProjection, Corridor, SkipError, offset_point, tally
 from .simulate import DriveLog, extract_measured_offsets
 
 _SVD_REL_TOL = 1e-10
@@ -190,10 +190,10 @@ def _sample_intervals(length: float) -> int:
     one rounding above a whole metre (150.00000000000003) gets no extra
     sample.
     """
-    return max(2, int(math.ceil(round(length, 9))))
+    return max(2, int(math.ceil(round(float(length), 9))))
 
 
-def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits=None):
+def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits):
     """Points (px, py) sampled at most a metre apart along the path fitted
     for candidate node distances, or None when the distances are out of
     order or past the horizon, the fit fails, or the path runs more than
@@ -206,7 +206,8 @@ def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits=No
     last Euler curve so every recorded point inside the horizon is scored.
     Without the continuation, trivially short node placements explain their
     own tiny span perfectly and the cost loses all pressure on the far node.
-    `fits` is the window's memo of pose-pair fits (see fit_composite).
+    `fits` is the window's memo of pose-pair fits (see fit_composite). Each
+    candidate's path, of the grid or the search, is scored by _grid_costs.
     """
     d_near, d_mid, d_far = distances
     horizon = stations[-1]  # the kept stations rise, so this is the farthest
@@ -228,19 +229,11 @@ def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits=No
     return px, py
 
 
-def _window_cost(distances, corridor, pts, stations, offsets, anchor_pose, fits=None) -> float:
-    """Mean distance between the recorded points and the candidate's path
-    (see _candidate_path), inf without a path."""
-    sampled = _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits)
-    if sampled is None:
-        return math.inf
-    _, _, signed = project_to_polyline(*sampled, pts[:, 0], pts[:, 1])
-    return float(np.mean(np.abs(signed)))
-
-
 def _grid_costs(paths, pts) -> list[float]:
-    """_window_cost of each of the sampled paths (inf for None), bit for bit,
-    with the paths projected in chunks (road.ChunkedProjection)."""
+    """The cost of each of the sampled paths (see _candidate_path): the mean
+    distance between the recorded points pts and the path, inf for None.
+    The paths are projected in chunks (road.ChunkedProjection), so each cost
+    is bit for bit that of a projection onto its path alone."""
     costs = []
     projection = ChunkedProjection(lambda i, signed: costs.__setitem__(i, float(np.abs(signed).mean())))
     px, py = pts.T
@@ -283,9 +276,9 @@ def _window_optimum(log: DriveLog, anchor: int, window: int, grid_step: float):
     def tiebroken(raw, cand):
         return raw + _PREVIEW_TIEBREAK * (horizon - cand[2])
 
-    def scored(cand):
-        raw = _window_cost(cand, corridor, pts, stations, offsets, anchor_pose, fits)
-        return raw, tiebroken(raw, cand)
+    def costs(cands):
+        paths = (_candidate_path(cand, corridor, stations, offsets, anchor_pose, fits) for cand in cands)
+        return _grid_costs(paths, pts)
 
     grid = [
         (dn, dm, df)
@@ -293,30 +286,28 @@ def _window_optimum(log: DriveLog, anchor: int, window: int, grid_step: float):
         for dm in np.arange(dn + grid_step, min(90.0, horizon), 2.0 * grid_step)
         for df in np.arange(dm + 2.0 * grid_step, horizon + 1e-9, 4.0 * grid_step)
     ]
-    paths = (_candidate_path(cand, corridor, stations, offsets, anchor_pose, fits) for cand in grid)
-    finite = [(raw, cand) for cand, raw in zip(grid, _grid_costs(paths, pts)) if math.isfinite(raw)]
+    finite = [(raw, cand) for cand, raw in zip(grid, costs(grid)) if math.isfinite(raw)]
     if not finite:
         raise NoFiniteCostError(f"window at row {anchor} has no finite cost")
     if max(finite)[0] - min(finite)[0] < _FLAT_COST_EPS:
         return None
     # the first of equal minima, as the grid runs
     cost, (dn, dm, df) = min(finite, key=lambda found: tiebroken(*found))
-    adjusted_best = tiebroken(cost, (dn, dm, df))
 
     def objective(z):
         gaps = np.exp(z)
         cand = (gaps[0], gaps[0] + gaps[1], gaps[0] + gaps[1] + gaps[2])
         if cand[2] > horizon:
             return 1e6 + cand[2]
-        return scored(cand)[1]
+        return tiebroken(*costs([cand]), cand)
 
     z0 = np.log([dn, dm - dn, df - dm])
     res = minimize(objective, z0, method="Nelder-Mead",
                    options={"maxfev": 150, "xatol": 1e-3, "fatol": 1e-9})
     gaps = np.exp(res.x)
     cand = (float(gaps[0]), float(gaps[0] + gaps[1]), float(gaps[0] + gaps[1] + gaps[2]))
-    raw, adjusted = scored(cand)
-    if adjusted <= adjusted_best:
+    (raw,) = costs([cand])
+    if tiebroken(raw, cand) <= tiebroken(cost, (dn, dm, df)):
         (dn, dm, df), cost = cand, raw
     return (float(dn), float(dm), float(df), float(cost))
 
@@ -342,8 +333,9 @@ def optimize_node_distances(
     every window is skipped).
 
     Each window fits a pose pair once: its grid and its search share one
-    memo of fits. The grid's paths are projected in chunks
-    (road.ChunkedProjection); the search projects one path per call.
+    memo of fits. Every candidate, of the grid or the search, is scored by
+    _grid_costs: the grid's paths are projected in chunks
+    (road.ChunkedProjection), and a search step's path alone in one call.
     """
     if window < 2:
         raise ValueError("window must span at least 2 samples")

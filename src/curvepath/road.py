@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -227,8 +228,9 @@ class ChunkedProjection:
 
     add(key, ...) gathers a polyline through (x, y) and its points (px, py)
     under the caller's key. Once the gathered polylines hold PROJECT_VERTICES
-    vertices, they go through one many-polyline project_to_polyline call;
-    flush() projects the rest. Each pair's signed distances go to
+    vertices, they go through one project_to_polyline call; flush() projects
+    the rest. A chunk of two or more pairs is a many-polyline call, and a
+    lone pair a one-polyline call. Each pair's signed distances go to
     `each(key, signed)` as soon as its chunk is projected, bit for bit those
     of a call with its polyline alone (up to the ties project_to_polyline
     names).
@@ -251,12 +253,15 @@ class ChunkedProjection:
         keys, xs, ys, pxs, pys = zip(*self._pairs)
         self._pairs, self._vertices = [], 0
         sizes = [len(px) for px in pxs]
-        _, _, signed = project_to_polyline(
-            *map(np.concatenate, (xs, ys, pxs, pys)),
-            np.cumsum([0] + [len(x) for x in xs[:-1]]),
-            np.repeat(np.arange(len(xs)), sizes),
-        )
-        bounds = np.cumsum([0] + sizes).tolist()
+        if len(keys) == 1:
+            _, _, signed = project_to_polyline(xs[0], ys[0], pxs[0], pys[0])
+        else:
+            _, _, signed = project_to_polyline(
+                *map(np.concatenate, (xs, ys, pxs, pys)),
+                np.cumsum([0] + [len(x) for x in xs[:-1]]),
+                np.repeat(np.arange(len(xs)), sizes),
+            )
+        bounds = list(accumulate(sizes, initial=0))
         for key, lo, hi in zip(keys, bounds, bounds[1:]):
             self._each(key, signed[lo:hi])
 

@@ -153,7 +153,8 @@ _JSON_KINDS = {
 def json_value(value, kind, what: str):
     """value, checked to be of one JSON kind, or an array of one (list[kind]).
     A bool is never a number and nothing is coerced: any other value raises a
-    ValueError naming what. A number comes back as a float, as written outputs hold it."""
+    ValueError naming what. A number comes back as a float, as written outputs hold it,
+    and an integer too large for a double raises that ValueError too."""
     (item,) = get_args(kind) or (None,)
     types, name = _JSON_KINDS[get_origin(kind) or kind]
     try:
@@ -161,10 +162,10 @@ def json_value(value, kind, what: str):
             raise ValueError
         if item is not None:
             return [json_value(v, item, what) for v in value]
-    except ValueError:
+        return float(value) if kind is float else value
+    except (ValueError, OverflowError):
         of = f" of {_JSON_KINDS[item][1].split()[-1]}s" if item else ""
         raise ValueError(f"{what} must be {name}{of}, got {value!r:.60}") from None
-    return float(value) if kind is float else value
 
 
 def json_field(obj, key: str, kind, default=None):

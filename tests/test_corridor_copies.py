@@ -33,3 +33,9 @@ def test_length_one_rounding_above_a_metre_adds_no_sample():
     assert _sample_intervals(above.length) == _sample_intervals(exact.length) == 150
     assert _sample_intervals(fitted.length) == 150
     assert _sample_intervals(150.001) == 151
+
+
+def test_a_numpy_length_rounds_as_a_python_float():
+    """Python's round is correctly rounded; numpy's scales, rounds to an
+    integer and unscales, which drops 2.0000000005 to 2.0."""
+    assert _sample_intervals(np.float64(2.0000000005)) == _sample_intervals(2.0000000005) == 3

@@ -1,9 +1,11 @@
 """Identification and the node-count sweep batch their work without moving a
 bit: grid costs scored in chunked many-polyline projections equal one
-projection per candidate, the sweep's error column equals one projection per
-path, a window's memo of fits fits each pose pair once and gives the
-segments a fit without it gives, and the search finds what it finds with
-the formulas that CompositePath.sample and project_to_polyline replaced."""
+projection per candidate, each search evaluation is scored by the same rule
+in one one-polyline projection, the sweep's error column equals one
+projection per path, a window's memo of fits fits each pose pair once and
+gives the segments a fit without it gives, and the search finds what it
+finds with the formulas that CompositePath.sample and project_to_polyline
+replaced."""
 
 import math
 
@@ -12,8 +14,8 @@ import pytest
 
 from curvepath import calibration, clothoid, road
 from curvepath.calibration import (
+    _candidate_path,
     _sample_intervals,
-    _window_cost,
     node_count_tradeoff,
     optimize_node_distances,
 )
@@ -30,51 +32,94 @@ WINDOW = 120
 STRIDE = 240  # every other window, to keep the suite quick
 
 
+def _record_scoring(monkeypatch):
+    """Per window, per _grid_costs call (the grid first, then one per search
+    evaluation): its candidates' arguments, its costs and the argument count
+    of each project_to_polyline call it made."""
+    windows = []
+    geometry = calibration._window_geometry
+    candidate_path, grid_costs = calibration._candidate_path, calibration._grid_costs
+
+    def recorded_geometry(*args):
+        windows.append([])
+        return geometry(*args)
+
+    def recorded_candidate(*args):
+        windows[-1][-1]["candidates"].append(args)
+        return candidate_path(*args)
+
+    def counted(*args):
+        windows[-1][-1]["calls"].append(len(args))
+        return project_to_polyline(*args)
+
+    def recorded_grid(paths, pts):
+        windows[-1].append({"candidates": [], "calls": [], "pts": pts})
+        with monkeypatch.context() as patch:
+            patch.setattr(road, "project_to_polyline", counted)
+            windows[-1][-1]["costs"] = grid_costs(paths, pts)
+        return windows[-1][-1]["costs"]
+
+    monkeypatch.setattr(calibration, "_window_geometry", recorded_geometry)
+    monkeypatch.setattr(calibration, "_candidate_path", recorded_candidate)
+    monkeypatch.setattr(calibration, "_grid_costs", recorded_grid)
+    return windows
+
+
+def _one_polyline_cost(candidate_args, pts) -> float:
+    """The mean distance of the recorded points to the candidate's path, by a
+    one-polyline projection of a path fitted without the window's memo."""
+    cand, corridor, stations, offsets, anchor_pose, _ = candidate_args
+    sampled = _candidate_path(cand, corridor, stations, offsets, anchor_pose, fits={})
+    if sampled is None:
+        return math.inf
+    _, _, signed = project_to_polyline(*sampled, pts[:, 0], pts[:, 1])
+    return float(np.mean(np.abs(signed)))
+
+
 @pytest.mark.parametrize("budget", [None, 500, 1])
 def test_grid_costs_match_one_window_cost_per_candidate(clean_driver_log, budget, monkeypatch):
     """With the vertex budget as it is, at about three paths and at one
     vertex, so that every path ends a chunk."""
     if budget is not None:
         monkeypatch.setattr(road, "PROJECT_VERTICES", budget)
-    windows = []  # per grid: the candidates' arguments, the costs and the chunk calls
-    candidate_path, grid_costs = calibration._candidate_path, calibration._grid_costs
-
-    def recorded_candidate(*args):
-        if windows and "costs" not in windows[-1]:  # the grid phase, not the search
-            windows[-1]["candidates"].append(args)
-        return candidate_path(*args)
-
-    def counted(*args):
-        windows[-1]["chunks"] += 1
-        return project_to_polyline(*args)
-
-    def recorded_grid(paths, pts):
-        windows.append({"candidates": [], "chunks": 0, "pts": pts})
-        with monkeypatch.context() as patch:
-            patch.setattr(road, "project_to_polyline", counted)
-            windows[-1]["costs"] = grid_costs(paths, pts)
-        return windows[-1]["costs"]
-
-    monkeypatch.setattr(calibration, "_candidate_path", recorded_candidate)
-    monkeypatch.setattr(calibration, "_grid_costs", recorded_grid)
+    windows = _record_scoring(monkeypatch)
     optimize_node_distances(clean_driver_log, NodePointParams(), window=WINDOW, stride=STRIDE)
     monkeypatch.undo()
 
-    assert len(windows) >= 2
-    for window in windows:
-        costs = window["costs"]
-        assert len(costs) == len(window["candidates"])
+    grids = [scoring[0] for scoring in windows if scoring]
+    assert len(grids) >= 2
+    for grid in grids:
+        costs = grid["costs"]
+        assert len(costs) == len(grid["candidates"]) > 1
         assert any(map(math.isfinite, costs))
-        for (cand, corridor, stations, offsets, anchor_pose, _), cost in zip(window["candidates"], costs):
+        for args, cost in zip(grid["candidates"], costs):
             # no memo: the memo must not move a bit either
-            assert cost == _window_cost(cand, corridor, window["pts"], stations, offsets, anchor_pose)
+            assert cost == _one_polyline_cost(args, grid["pts"])
         scored = sum(map(math.isfinite, costs))
+        chunks = len(grid["calls"])
         if budget is None:
-            assert 2 <= window["chunks"] < scored
+            assert 2 <= chunks < scored
         else:
-            assert window["chunks"] >= 2
+            assert chunks >= 2
         if budget == 1:
-            assert window["chunks"] == scored
+            # every chunk a lone pair, so a one-polyline call
+            assert grid["calls"] == [4] * scored
+
+
+def test_each_search_evaluation_is_one_one_polyline_projection(clean_driver_log, monkeypatch):
+    windows = _record_scoring(monkeypatch)
+    found = optimize_node_distances(clean_driver_log, NodePointParams(), window=WINDOW, stride=STRIDE)
+    monkeypatch.undo()
+
+    searched = [scoring for scoring in windows if len(scoring) > 1]
+    assert len(searched) == len(found.window_optima) >= 2
+    for scoring, optimum in zip(searched, found.window_optima):
+        for evaluation in scoring[1:]:
+            (args,), (cost,) = evaluation["candidates"], evaluation["costs"]
+            assert cost == _one_polyline_cost(args, evaluation["pts"])
+            assert evaluation["calls"] == ([4] if math.isfinite(cost) else [])
+        # the window reports the grid's best or the search's last candidate
+        assert optimum[3] in (*scoring[0]["costs"], *scoring[-1]["costs"])
 
 
 def test_sweep_errors_match_one_projection_per_path(clean_driver_log, monkeypatch):
@@ -193,8 +238,7 @@ def test_identification_sees_the_bits_of_the_replaced_formulas(monkeypatch):
         return reference_project_to_polyline(*args)
 
     monkeypatch.setattr(clothoid.CompositePath, "sample", sample)
-    for module in (road, calibration):
-        monkeypatch.setattr(module, "project_to_polyline", project)
+    monkeypatch.setattr(road, "project_to_polyline", project)
     reference = optimize_node_distances(log, initial, window=120, stride=110)
     assert calls["sample"] > 200 and calls["project"] > 100
     assert reference.window_optima == found.window_optima

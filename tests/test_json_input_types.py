@@ -1,8 +1,9 @@
 """Wrong-typed JSON input and out-of-range `synth` options end the command
 with exit code 2 and a message naming the key or option, never a traceback:
-scenario values of the wrong type, a cohort manifest whose scenario or
-drivers are not what `synth` writes, a gains file whose gains are not
-numbers, a non-finite `--sigma` and a `--drivers` count below 1. A cohort
+scenario values of the wrong type, a cohort manifest whose scenario, drivers
+or node distances are not what `synth` writes, a gains file whose gains are
+not numbers, a config setting, a non-finite `--sigma` and a `--drivers`
+count below 1. An integer too large for a double is not a number. A cohort
 driver entry of the wrong type costs that driver only."""
 
 import json
@@ -12,6 +13,7 @@ import pytest
 from curvepath.cli import DATA_ERROR, main
 
 STRAIGHT = {"kind": "straight", "length": 100.0}
+HUGE = 10**400  # too large for a double
 
 
 def _check(argv, message, capsys):
@@ -37,9 +39,10 @@ def _check(argv, message, capsys):
         ([], "scenario must be a JSON object"),
         ({"segments": [{"kind": "straight", "length": True}]}, "segment 0: length must be a number"),
         ({"segments": [{"kind": "straight", "length": "600"}]}, "segment 0: length must be a number"),
+        ({"segments": [{"kind": "straight", "length": HUGE}]}, "segment 0: length must be a number, got 1000"),
     ],
     ids=["null-length", "list-kappa", "null-kind", "string-segment", "null-lane-width", "string-speed",
-         "object-segments", "no-segments", "list-scenario", "bool-length", "string-length"],
+         "object-segments", "no-segments", "list-scenario", "bool-length", "string-length", "huge-length"],
 )
 def test_wrong_typed_scenario_is_named(scenario, message, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -62,8 +65,9 @@ def manifest(tmp_path_factory):
         ("scenario", None, "scenario must be a JSON object"),
         ("drivers", None, "drivers must be a JSON array"),
         ("drivers", ["driver_01.csv"], "drivers must be a JSON array of objects"),
+        ("node_distances", [HUGE, 40.0, 130.0], "node_distances must be a JSON array of numbers, got [1000"),
     ],
-    ids=["null-scenario", "null-drivers", "string-driver"],
+    ids=["null-scenario", "null-drivers", "string-driver", "huge-node-distance"],
 )
 def test_wrong_typed_manifest_is_named(key, value, message, manifest, capsys):
     data = json.loads(manifest.read_text())
@@ -82,8 +86,9 @@ def test_wrong_typed_manifest_is_named(key, value, message, manifest, capsys):
         ([True] + [1.0] * 8, "gains must be a JSON array of numbers"),
         (["1"] + [1.0] * 8, "gains must be a JSON array of numbers"),
         ({"gains_row_major": [1.0] * 8 + ["1"]}, "gains must be a JSON array of numbers"),
+        ([HUGE] + [1.0] * 8, "gains must be a JSON array of numbers, got [1000"),
     ],
-    ids=["no-gains-key", "bool-gain", "string-gain", "string-gain-in-object"],
+    ids=["no-gains-key", "bool-gain", "string-gain", "string-gain-in-object", "huge-gain"],
 )
 def test_wrong_typed_gains_are_named(gains, message, manifest, tmp_path, capsys):
     path = tmp_path / "gains.json"
@@ -91,6 +96,15 @@ def test_wrong_typed_gains_are_named(gains, message, manifest, tmp_path, capsys)
     out = tmp_path / "sim"
     _check(["simulate", "--log", manifest.parent / "driver_01.csv", "--gains", path, "--out-prefix", out / "run"],
            message, capsys)
+    assert not out.exists()
+
+
+def test_a_huge_config_setting_is_named(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kappa_threshold": HUGE}))
+    out = tmp_path / "out"
+    _check(["synth", "--drivers", 1, "--out-dir", out, "--config", config],
+           "kappa_threshold must be a number, got 1000", capsys)
     assert not out.exists()
 
 

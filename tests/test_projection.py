@@ -202,10 +202,14 @@ class TestManyPolylines:
         rng = np.random.default_rng(17)
         pairs = [(x, y, *_points_near([(x, y)], int(rng.integers(1, 60)), rng)[:2]) for x, y in replay_like * 6]
         calls = []  # per call: the vertices and the polylines
+        lone = []  # the one-polyline calls' vertices
 
-        def counted(x, y, px, py, starts, line):
+        def counted(x, y, px, py, *many):  # many: starts and line, or nothing
+            starts = many[0] if many else [0]
             calls.append((len(x), len(starts), int(starts[-1])))
-            return project_to_polyline(x, y, px, py, starts, line)
+            if not many:
+                lone.append(len(x))
+            return project_to_polyline(x, y, px, py, *many)
 
         monkeypatch.setattr(road, "project_to_polyline", counted)
         got = []
@@ -226,6 +230,8 @@ class TestManyPolylines:
             assert signed.tobytes() == project_to_polyline(x, y, px, py)[2].tobytes()
         # a chunk closes at the first polyline that brings it to the budget
         assert all(last_start < budget <= vertices for vertices, _, last_start in calls[:-1])
+        # a lone pair is a one-polyline call, and only a lone pair
+        assert lone == [vertices for vertices, polylines, _ in calls if polylines == 1]
         if budget == 1:
             assert [polylines for _, polylines, _ in calls] == [1] * len(pairs)
         else:

@@ -107,7 +107,7 @@ def test_one_polyline_keeps_its_bits(shape):
 @settings(max_examples=60)
 @given(pairs=st.lists(shapes, min_size=2, max_size=12), budget=st.sampled_from([1, 500, road.PROJECT_VERTICES]))
 def test_chunked_projection_keeps_its_bits(pairs, budget):
-    calls = []  # per many-polyline call: its arguments and its result
+    calls = []  # per call: its arguments and its result
 
     def recorded(*args):
         calls.append((args, project_to_polyline(*args)))
@@ -124,10 +124,41 @@ def test_chunked_projection_keeps_its_bits(pairs, budget):
             projection.add(key, x, y, *points_around(rng, x, y, shape["count"]))
         projection.flush()
     assert len(got) == len(pairs) and calls
+    polylines = [1 if len(args) == 4 else len(args[4]) for args, _ in calls]
+    # x, y, px, py for a lone pair, and starts and line for more
+    assert sum(polylines) == len(pairs) and all(len(args) == 4 or n >= 2 for (args, _), n in zip(calls, polylines))
     for args, result in calls:
-        assert len(args) == 6  # x, y, px, py, starts, line
         assert_same_bits(result, reference_project_to_polyline(*args))
     assert np.concatenate(got).tobytes() == np.concatenate([result[2] for _, result in calls]).tobytes()
+
+
+@pytest.mark.parametrize("budget, count", [(road.PROJECT_VERTICES, 1), (1, 6)], ids=["one-pair", "budget-1"])
+def test_a_lone_pair_is_a_one_polyline_call(budget, count):
+    """One pair, and a vertex budget of one vertex, at which every chunk is
+    a lone pair: each chunk is one call without starts and line."""
+    rng = np.random.default_rng(29)
+    pairs = []
+    for _ in range(count):
+        x, y = polyline(rng, int(rng.integers(2, 400)), -750.0, 0.6)
+        pairs.append((x, y, *points_around(rng, x, y, 40)))
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return project_to_polyline(*args)
+
+    got = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(road, "PROJECT_VERTICES", budget)
+        patch.setattr(road, "project_to_polyline", recorded)
+        projection = road.ChunkedProjection(lambda key, signed: got.append(signed))
+        for key, pair in enumerate(pairs):
+            projection.add(key, *pair)
+        projection.flush()
+    assert [len(args) for args in calls] == [4] * count
+    for pair, args, signed in zip(pairs, calls, got, strict=True):
+        assert all(a is b for a, b in zip(args, pair, strict=True))
+        assert signed.tobytes() == reference_project_to_polyline(*pair)[2].tobytes()
 
 
 def test_a_point_on_the_first_vertex_of_a_falling_polyline_keeps_a_negative_zero_fraction():
