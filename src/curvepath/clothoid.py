@@ -290,7 +290,7 @@ class CompositePath:
         i = 0 if i < 0 else i if i < len(self.segments) else len(self.segments) - 1
         seg = self.segments[i]
         local = s - self._bounds[i]
-        return seg, 0.0 if local < 0.0 else local if local <= seg.length else seg.length
+        return seg, 0.0 if local <= 0.0 else local if local <= seg.length else seg.length
 
     def pose_at(self, s: float) -> Pose:
         seg, local = self.locate(s)

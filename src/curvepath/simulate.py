@@ -68,6 +68,19 @@ class LogFormatError(ValueError):
     load: a bad header, row or cell, or columns that DriveLog rejects."""
 
 
+# repr writes a double below 1e-4 with an exponent from e-05 to e-324; the
+# fixed-notation text of its digits starts with this prefix
+_SHIFT_PREFIX = {f"-{k:02d}": "0." + "0" * (k - 1) for k in range(5, 325)}
+
+
+def _shifted(text: str) -> str:
+    """repr text with a negative exponent in fixed notation: -1.5e-07 as -0.00000015."""
+    mantissa, exponent = text.split("e")
+    if mantissa[0] == "-":
+        return "-" + _SHIFT_PREFIX[exponent] + mantissa[1:].replace(".", "")
+    return _SHIFT_PREFIX[exponent] + mantissa.replace(".", "")
+
+
 def format_float(value: float) -> str:
     """Fixed-notation float that reads back bit for bit, as
     np.format_float_positional(value, unique=True, min_digits=9) prints it.
@@ -82,29 +95,61 @@ def format_float(value: float) -> str:
     value = float(value)
     text = repr(value)
     if "e" in text:
-        mantissa, exponent = text.split("e")
-        if exponent[0] == "+":
+        if "e+" in text:
             return np.format_float_positional(value, unique=True, min_digits=9)
-        sign = "-" if mantissa[0] == "-" else ""
-        text = f"{sign}0.{'0' * (-int(exponent) - 1)}{mantissa.lstrip('-').replace('.', '')}"
+        text = _shifted(text)
     elif "n" in text:  # nan, inf, -inf
         return np.format_float_positional(value, unique=True, min_digits=9)
     return text if len(text) - text.index(".") > 9 else f"{value:.9f}"
 
 
+def _float_cells(values: np.ndarray) -> list[str]:
+    """format_float of every value of a float column, each formatted once.
+
+    Below 1e6, a double's shortest digits need at most 8 fractional digits
+    exactly when np.round(v, 8) == v: numpy rounds by rint(v * 1e8) / 1e8,
+    and below 2**20 the product lies within 0.014 of that decimal's
+    integer. Those cells, zeros included, print with 9 fixed digits; the
+    other cells below 1e6 print repr's digits, shifted into fixed notation
+    below 1e-4, where repr has an exponent. format_float prints the rest:
+    1e6 and more, nan and inf.
+    """
+    values = values.astype(np.float64, copy=False)  # a float32 prints as its double
+    magnitude = np.abs(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # rounding a huge cell overflows
+        short = (np.round(values, 8) == values) & (magnitude < 1e6)
+    plain = (magnitude >= 1e-4) & (magnitude < 1e6) & ~short
+    tiny = (magnitude < 1e-4) & ~short
+    rest = ~(short | plain | tiny)
+    cells = np.empty(values.size, dtype=object)
+    for mask, fmt in (short, "{:.9f}".format), (plain, repr), (tiny, lambda v: _shifted(repr(v))), (rest, format_float):
+        cells[mask] = list(map(fmt, values[mask].tolist()))
+    return cells.tolist()
+
+
 def write_csv(path, header: str, columns) -> None:
     """CSV table: the header line, then row i of every column, comma separated.
 
-    Float columns are written with format_float, every other column with
-    str; UTF-8 with '\\n' line endings.
+    Float columns are written as format_float prints them (see _float_cells),
+    every other column with str; UTF-8 with '\\n' line endings.
     """
     cells = []
     for column in columns:
         values = np.asarray(column)
-        cells.append(list(map(format_float if values.dtype.kind == "f" else str, values.tolist())))
+        cells.append(_float_cells(values) if values.dtype.kind == "f" else list(map(str, values.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+
+
+def _table_lines(path, header: str, kind: str) -> list[str]:
+    """The lines of a CSV table in the write_csv format after its header
+    line, which must be `header`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise LogFormatError(f"{path}: bad {kind} header (expected '{header}')")
+    return lines[1:]
 
 
 def read_csv(path, header: str, kind: str, convert) -> list:
@@ -114,13 +159,9 @@ def read_csv(path, header: str, kind: str, convert) -> list:
     column count differs from the header's, or that `convert` rejects with
     a ValueError, raises LogFormatError naming the path and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != header:
-        raise LogFormatError(f"{path}: bad {kind} header (expected '{header}')")
     width = header.count(",") + 1
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(_table_lines(path, header, kind), start=2):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -270,14 +311,27 @@ def _cycle_index(field: str) -> int:
 
 
 def load_drive_log(path) -> DriveLog:
-    """Parse a drive log CSV into a DriveLog; any fault it finds names the path."""
-    rows = read_csv(path, LOG_HEADER, "drive log", lambda f: (_cycle_index(f[0]), [*map(float, f[1:])]))
+    """Parse a drive log CSV into a DriveLog; any fault it finds names the path.
+
+    Each column is converted in one pass. When a column or a row's width
+    fails, read_csv reads the file again row by row and names the first
+    faulty line.
+    """
+    rows = [line.split(",") for line in _table_lines(path, LOG_HEADER, "drive log") if line.strip()]
     if not rows:
         raise LogFormatError(f"{path}: empty log (no data rows)")
-    cycles, values = zip(*rows)
-    data = np.array(values, dtype=float)
     try:
-        return DriveLog(cycle=np.array(cycles, dtype=np.int64), **dict(zip(DriveLog._FLOAT_COLUMNS, data.T)))
+        cycle, *floats = columns = [*zip(*rows, strict=True)]
+        if len(columns) != LOG_HEADER.count(",") + 1:
+            raise ValueError("a row's column count differs from the header's")
+        cycles = np.fromiter(map(_cycle_index, cycle), dtype=np.int64, count=len(rows))
+        values = [np.fromiter(map(float, column), dtype=np.float64, count=len(rows)) for column in floats]
+    except ValueError:
+        # raises for the first faulty line; it returns only if the file changed since
+        read_csv(path, LOG_HEADER, "drive log", lambda f: (_cycle_index(f[0]), [*map(float, f[1:])]))
+        raise
+    try:
+        return DriveLog(cycle=cycles, **dict(zip(DriveLog._FLOAT_COLUMNS, values)))
     except ValueError as exc:
         raise LogFormatError(f"{path}: {exc}") from exc
 

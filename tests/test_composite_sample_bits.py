@@ -185,9 +185,9 @@ def test_a_0d_station_gives_0d_arrays(mixed_path, station):
 
 
 def test_a_negative_zero_station_samples_as_zero():
-    """sample() clamps a -0.0 station to the path's start, 0.0, bit for bit
-    (unlike locate(), which keeps -0.0): on a path that starts at -0.0 in x
-    and y, the sign would show in both positions."""
+    """sample() clamps a -0.0 station to the path's start, 0.0, bit for bit,
+    as locate() does: on a path that starts at -0.0 in x and y, the sign
+    would show in both positions."""
     first = ClothoidSegment(Pose(-0.0, -0.0, -0.0), 0.01, 1e-4, 10.0)
     path = CompositePath((first, ClothoidSegment(first.pose_at(10.0), 0.02, 0.0, 5.0)))
     got = path.sample(np.array([-0.0, 0.0, 12.0]))
@@ -269,7 +269,7 @@ def test_a_scalar_lookup_rejects_a_nan_station(ten_metre_path, lookup):
         lookup(ten_metre_path)
 
 
-@pytest.mark.parametrize("station, end", [(10.0 + 5e-10, 10.0), (-5e-10, 0.0), (10.0, 10.0), (0.0, 0.0), (-0.0, -0.0)],
+@pytest.mark.parametrize("station, end", [(10.0 + 5e-10, 10.0), (-5e-10, 0.0), (10.0, 10.0), (0.0, 0.0), (-0.0, 0.0)],
                          ids=["past-the-end", "before-the-start", "at-the-end", "at-the-start", "negative-zero"])
 def test_a_station_within_the_tolerance_outside_is_clamped_to_the_end(ten_metre_path, station, end):
     seg = ten_metre_path.segments[0]
