@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .clothoid import CompositePath, fit_composite
+from .clothoid import CompositePath, fit_composite, sample_paths
 from .planner import (
     DEFAULT_RETRIGGER_CYCLES,
     MAX_PREVIEW_M,
@@ -193,12 +193,16 @@ def _sample_intervals(length: float) -> int:
     return max(2, int(math.ceil(round(float(length), 9))))
 
 
-def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits):
-    """Points (px, py) sampled at most a metre apart along the path fitted
-    for candidate node distances, or None when the distances are out of
-    order or past the horizon, the fit fails, or the path runs more than
-    twice as far as the drive it explains (a node on an outlying recorded
-    point), which would cost one sample per metre of it.
+def _sample_stations(path: CompositePath) -> np.ndarray:
+    """Arc lengths at most a metre apart from the start of a path to its end."""
+    return np.linspace(0.0, path.length, _sample_intervals(path.length) + 1)
+
+
+def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits, nodes):
+    """The path fitted for candidate node distances, or None when the
+    distances are out of order or past the horizon, the fit fails, or the
+    path runs more than twice as far as the drive it explains (a node on an
+    outlying recorded point), which would cost one sample per metre of it.
 
     The path is fitted through node points placed on the recorded drive
     (positions from the drive, orientations from the road) and, because the
@@ -206,17 +210,22 @@ def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits):
     last Euler curve so every recorded point inside the horizon is scored.
     Without the continuation, trivially short node placements explain their
     own tiny span perfectly and the cost loses all pressure on the far node.
-    `fits` is the window's memo of pose-pair fits (see fit_composite). Each
-    candidate's path, of the grid or the search, is scored by _grid_costs.
+    `fits` is the window's memo of pose-pair fits (see fit_composite), and
+    `nodes` its memo of node poses by distance: the distances a candidate
+    finds there are not placed again, and the others are placed in one
+    poses_at and one np.interp call. Each candidate's path, of the grid or
+    the search, is scored by _grid_costs.
     """
     d_near, d_mid, d_far = distances
     horizon = stations[-1]  # the kept stations rise, so this is the farthest
     if not (0.0 < d_near < d_mid < d_far <= horizon):
         return None
-    measured = np.interp(distances, stations, offsets).tolist()
-    node_poses = map(offset_point, corridor.poses_at(distances), measured)
+    missing = [d for d in distances if d not in nodes]
+    if missing:
+        measured = np.interp(missing, stations, offsets).tolist()
+        nodes.update(zip(missing, map(offset_point, corridor.poses_at(missing), measured)))
     try:
-        path = fit_composite((anchor_pose, *node_poses), fits=fits)
+        path = fit_composite((anchor_pose, *map(nodes.__getitem__, distances)), fits=fits)
     except SkipError:
         return None
     last = path.segments[-1]
@@ -224,23 +233,28 @@ def _candidate_path(distances, corridor, stations, offsets, anchor_pose, fits):
     extended = CompositePath(path.segments[:-1] + (replace(last, length=last.length + tail),))
     if extended.length > 2.0 * (horizon + 1.0):
         return None
-    n = _sample_intervals(extended.length)
-    px, py, _ = extended.sample(np.linspace(0.0, extended.length, n + 1))
-    return px, py
+    return extended
+
+
+def _sampled(paths, stations) -> list:
+    """The vertices (x, y) of each path at its stations, from one sample_paths call."""
+    return [xy for *xy, _ in sample_paths(paths, stations)]
 
 
 def _grid_costs(paths, pts) -> list[float]:
-    """The cost of each of the sampled paths (see _candidate_path): the mean
-    distance between the recorded points pts and the path, inf for None.
-    The paths are projected in chunks (road.ChunkedProjection), so each cost
-    is bit for bit that of a projection onto its path alone."""
+    """The cost of each of the candidate paths (see _candidate_path): the
+    mean distance between the recorded points pts and the path sampled at
+    _sample_stations, inf for None. The paths are projected in chunks
+    (road.ChunkedProjection), and each chunk's paths are sampled in one
+    sample_paths call just before, so each cost is bit for bit that of
+    sampling and projecting its path alone."""
     costs = []
-    projection = ChunkedProjection(lambda i, signed: costs.__setitem__(i, float(np.abs(signed).mean())))
+    projection = ChunkedProjection(lambda i, signed: costs.__setitem__(i, float(np.abs(signed).mean())), _sampled)
     px, py = pts.T
     for i, path in enumerate(paths):
         costs.append(math.inf)
         if path is not None:
-            projection.add(i, *path, px, py)
+            projection.add(i, path, _sample_stations(path), px, py)
     projection.flush()
     return costs
 
@@ -271,13 +285,13 @@ def _window_optimum(log: DriveLog, anchor: int, window: int, grid_step: float):
         raise FewStationsError(f"window at row {anchor} has {stations.size} stations")
     anchor_pose = log.pose(anchor)
     horizon = stations[-1]
-    fits = {}
+    fits, nodes = {}, {}
 
     def tiebroken(raw, cand):
         return raw + _PREVIEW_TIEBREAK * (horizon - cand[2])
 
     def costs(cands):
-        paths = (_candidate_path(cand, corridor, stations, offsets, anchor_pose, fits) for cand in cands)
+        paths = (_candidate_path(cand, corridor, stations, offsets, anchor_pose, fits, nodes) for cand in cands)
         return _grid_costs(paths, pts)
 
     grid = [
@@ -332,10 +346,13 @@ def optimize_node_distances(
     flat, the initial guess is returned flagged (road.tally raises when
     every window is skipped).
 
-    Each window fits a pose pair once: its grid and its search share one
-    memo of fits. Every candidate, of the grid or the search, is scored by
-    _grid_costs: the grid's paths are projected in chunks
-    (road.ChunkedProjection), and a search step's path alone in one call.
+    Each window fits a pose pair once and places a node distance once: its
+    grid and its search share one memo of fits and one of node poses. Every
+    candidate, of the grid or the search, is scored by _grid_costs: the
+    grid's paths are sampled and projected in chunks
+    (road.ChunkedProjection), one sample_paths call per chunk, and a search
+    step's path alone, in one one-path sample and one one-polyline
+    projection.
     """
     if window < 2:
         raise ValueError("window must span at least 2 samples")
@@ -417,16 +434,13 @@ def node_count_tradeoff(
     times = [float(t) for t in best.mean(axis=1)]
 
     # the plans are deterministic, so the last repeat's paths are scored,
-    # all counts' paths of a corridor in one projection
+    # all counts' paths of a corridor in one sample and one projection
     per_replan_err = [[] for _ in counts]
     for j, corridor in enumerate(corridors):
-        samples = []
-        for row in paths:
-            path = row[j]
-            n = _sample_intervals(path.length)
-            samples.append(path.sample(np.linspace(0.0, path.length, n + 1))[:2])
-        _, offsets = corridor.project_many(*(np.concatenate(axis) for axis in zip(*samples)))
-        bounds = np.cumsum([0] + [px.size for px, _ in samples]).tolist()
+        plans = [row[j] for row in paths]
+        xs, ys, _ = zip(*sample_paths(plans, [_sample_stations(path) for path in plans]))
+        _, offsets = corridor.project_many(np.concatenate(xs), np.concatenate(ys))
+        bounds = np.cumsum([0] + [x.size for x in xs]).tolist()
         distances = np.abs(offsets)
         for err, lo, hi in zip(per_replan_err, bounds, bounds[1:]):
             err.append(float(np.mean(distances[lo:hi])))

@@ -8,9 +8,10 @@ through circular arcs to strong spirals (no special casing near zero
 curvature rate is required). Two kernels share one grid: a scalar
 pure-Python loop for single points and for every step of a fit, where
 numpy's per-call overhead would dominate, and an array kernel for sampling
-many stations at once, which only CompositePath.sample calls (a segment
-samples as a one-segment path): each segment keeps the grid its own
-stations size, and the segments that share a grid share one call.
+many stations of many paths at once, which only sample_paths calls
+(CompositePath.sample is its one-path call, and a segment samples as a
+one-segment path): each segment keeps the grid its own stations size, and
+the segments of all paths that share a grid share one call per block.
 
 The grid is sized to the phase slope |a| + |b| of (a/2) t^2 + b t + c on
 [0, 1]: min(256, ceil((slope + 1) / 4)) equal panels, so a panel sees a
@@ -296,57 +297,111 @@ class CompositePath:
         seg, local = self.locate(s)
         return seg.pose_at(local)
 
-    @functools.cached_property
-    def _table(self) -> np.ndarray:
-        """One column per segment: start station, length, kappa0, kappa_rate
-        and start x, y, theta."""
-        return np.array([(b, seg.length, seg.kappa0, seg.kappa_rate, seg.start.x, seg.start.y, seg.start.theta)
-                         for b, seg in zip(self._bounds, self.segments)]).T
-
-    def _locate_many(self, stations: np.ndarray):
-        """locate() for a flat array of stations, with the same 1e-9 range
-        rule, which rejects nan: each station's segment index, local arc
-        length and segment column.
-        The start stations are enough to search: a station at or past the
-        path's end falls on the last segment with or without its end, so
-        only an index before the first start needs clamping."""
-        if stations.size and not (stations.min() >= -1e-9 and stations.max() <= self.length + 1e-9):
-            raise ValueError(f"arc length outside [0, {self.length}]")
-        idx = np.maximum(np.searchsorted(self._table[0], stations, side="right") - 1, 0)
-        columns = self._table.take(idx, axis=1)
-        # np.maximum gives its second argument on a tie, so a -0.0 station
-        # becomes 0.0, as np.clip with array bounds made it
-        return idx, np.minimum(np.maximum(stations - columns[0], 0.0), columns[1]), columns
-
     def sample(self, stations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions and unwrapped headings at path arc lengths of any shape.
+        """Positions and unwrapped headings at path arc lengths of any shape:
+        the one-path call of sample_paths."""
+        return sample_paths((self,), (stations,))[0]
 
-        Every segment keeps the grid its own stations size, so no station
-        depends on another segment's stations; the segments that share a
-        grid share one kernel call, which gets that grid.
-        """
-        stations = np.asarray(stations, dtype=float)
-        idx, s, columns = self._locate_many(stations.ravel())
-        _, _, kappa0, kappa_rate, _, _, theta = columns
-        s2 = s**2
-        a = kappa_rate * s2
-        b = kappa0 * s
-        # each segment's largest phase slope picks its grid; _grid is
-        # cached, so segments on one grid share one object
-        top = np.full(len(self.segments), -1.0)  # -1: no station on the segment, so no group
-        np.maximum.at(top, idx, np.abs(a) + np.abs(b))
-        groups = {}  # id of a grid: its group number and the grid
-        group_of = [-1 if slope < 0 else groups.setdefault(id(grid := _rule(slope)), (len(groups), grid))[0]
-                    for slope in top.tolist()]
-        xy = np.empty((2, s.size))
-        station_group = np.array(group_of)[idx] if len(groups) > 1 else None
-        for group, grid in groups.values():
-            rows = slice(None) if station_group is None else station_group == group
-            xy[:, rows] = _phase_integrals(a[rows], b[rows], theta[rows], grid)
-        xy *= s
-        xy += columns[4:6]  # start x and y
-        shape = stations.shape
-        return xy[0].reshape(shape), xy[1].reshape(shape), (theta + b + 0.5 * kappa_rate * s2).reshape(shape)
+
+# phase values per _phase_integrals call of sample_paths: a call's phase
+# array and its cos and sin then hold at most 3 * 8 * _BLOCK_NODES bytes,
+# however many stations it samples
+_BLOCK_NODES = 8192
+
+
+def _locate(paths, stations):
+    """The segment of each station of many paths, `stations` one flat array
+    per path, by locate()'s 1e-9 range rule, which rejects nan (ValueError).
+
+    Returns the table of every path's segments, one column each (start
+    station, length, kappa0, kappa_rate and start x, y, theta), and for the
+    stations of all paths in order, each one's column in it.
+    """
+    table = np.array([(b, seg.length, seg.kappa0, seg.kappa_rate, seg.start.x, seg.start.y, seg.start.theta)
+                      for path in paths for b, seg in zip(path._bounds, path.segments)]).T
+    located, first = [], 0
+    for path, part in zip(paths, stations, strict=True):
+        if part.size and not (part.min() >= -1e-9 and part.max() <= path.length + 1e-9):
+            raise ValueError(f"arc length outside [0, {path.length}]")
+        count = len(path.segments)
+        # the joints at or before a station: a station before the start (or
+        # at -0.0) falls on the first segment, and one past the end on the last
+        found = np.searchsorted(table[0, first + 1:first + count], part, side="right")
+        if first:
+            found += first
+        located.append(found)
+        first += count
+    return table, located[0] if len(located) == 1 else np.concatenate(located)
+
+
+def _local(stations, columns):
+    """Arc lengths from the start of each station's segment, clamped to it;
+    np.maximum gives its second argument on a tie, so a -0.0 station becomes
+    0.0, as np.clip with array bounds made it."""
+    local = stations - columns[0]
+    np.maximum(local, 0.0, out=local)
+    np.minimum(local, columns[1], out=local)
+    return local
+
+
+def sample_paths(paths, stations) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Positions and unwrapped headings of each of one or more paths at its
+    own arc lengths, an array of any shape per path: the array kernel.
+
+    Each path's stations are located on its own segments. Every segment
+    keeps the grid its own stations size, so no station depends on another
+    segment's or another path's stations, and the segments of all paths that
+    share a grid share one kernel call, which gets that grid, per block of
+    at most _BLOCK_NODES phase values.
+    """
+    stations = [np.asarray(part, dtype=float) for part in stations]
+    parts = [part.ravel() for part in stations]
+    table, idx = _locate(paths, parts)
+    flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # each segment's largest phase slope |a| + |b| picks its grid. The slope
+    # never falls as the local arc length rises, so a segment whose slope at
+    # its end is at most 1 takes one panel of 8 nodes, the grid of almost
+    # every segment, whatever its stations; otherwise each segment takes the
+    # slope at its last station (-inf: no station on it, so no group),
+    # worked out in floats as _local and the block below work it out
+    groups = {}  # id of a grid (_grid is cached, so one object per grid): its group number and the grid
+    if all(abs(seg.kappa_rate * (seg.length * seg.length)) + abs(seg.kappa0 * seg.length) <= 1.0
+           for path in paths for seg in path.segments):
+        groups[0] = (0, _rule(0.0))
+    else:
+        last = np.full(table.shape[1], -math.inf)
+        np.maximum.at(last, idx, flat)
+        group_of = []
+        for station, start, length, kappa0, kappa_rate in zip(last.tolist(), *table[:4].tolist()):
+            if station == -math.inf:
+                group_of.append(-1)
+                continue
+            s = min(max(station - start, 0.0), length)
+            grid = _rule(abs(kappa_rate * (s * s)) + abs(kappa0 * s))
+            group_of.append(groups.setdefault(id(grid), (len(groups), grid))[0])
+    out = np.empty((3, flat.size))  # x, y and heading
+    station_group = np.array(group_of, dtype=np.int16)[idx] if len(groups) > 1 else None
+    for group, grid in groups.values():
+        rows = None if station_group is None else np.flatnonzero(station_group == group)
+        step = max(1, _BLOCK_NODES // grid[0].size)
+        for lo in range(0, flat.size if rows is None else rows.size, step):
+            block = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+            columns = table.take(idx[block], axis=1)
+            _, _, kappa0, kappa_rate, _, _, theta = columns
+            s = _local(flat[block], columns)
+            s2 = s**2
+            b = kappa0 * s
+            xy = _phase_integrals(kappa_rate * s2, b, theta, grid)
+            xy *= s
+            xy += columns[4:6]  # start x and y
+            out[:2, block] = xy
+            out[2, block] = theta + b + 0.5 * kappa_rate * s2
+    sampled, lo = [], 0
+    for part in stations:
+        x, y, heading = out[:, lo:lo + part.size]
+        sampled.append((x.reshape(part.shape), y.reshape(part.shape), heading.reshape(part.shape)))
+        lo += part.size
+    return sampled
 
 
 def _fit_once(fits: dict, start: Pose, end: Pose) -> ClothoidSegment:

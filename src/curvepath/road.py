@@ -234,16 +234,22 @@ class ChunkedProjection:
     `each(key, signed)` as soon as its chunk is projected, bit for bit those
     of a call with its polyline alone (up to the ties project_to_polyline
     names).
+
+    With `polylines`, a pair's (x, y) may be anything with one entry of y
+    per vertex, such as a path and its sample stations: polylines(xs, ys)
+    turns the chunk's gathered xs and ys into their vertex arrays, one (x, y)
+    per pair, just before the chunk is projected.
     """
 
-    def __init__(self, each):
+    def __init__(self, each, polylines=None):
         self._each = each
+        self._polylines = polylines
         self._pairs = []
         self._vertices = 0
 
     def add(self, key, x, y, px, py) -> None:
         self._pairs.append((key, x, y, px, py))
-        self._vertices += len(x)
+        self._vertices += len(y)
         if self._vertices >= PROJECT_VERTICES:
             self.flush()
 
@@ -252,6 +258,8 @@ class ChunkedProjection:
             return
         keys, xs, ys, pxs, pys = zip(*self._pairs)
         self._pairs, self._vertices = [], 0
+        if self._polylines is not None:
+            xs, ys = zip(*self._polylines(xs, ys))
         sizes = [len(px) for px in pxs]
         if len(keys) == 1:
             _, _, signed = project_to_polyline(xs[0], ys[0], pxs[0], pys[0])

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from curvepath.clothoid import ClothoidSegment, CompositePath, _rule
+from curvepath.clothoid import ClothoidSegment, CompositePath, _local, _locate, _rule
 from curvepath.road import Pose
 
 from helpers import curvature_profile
@@ -202,10 +202,11 @@ def test_no_stations_gives_empty_arrays(mixed_path):
 
 
 def many_curvature_profile(path: CompositePath, step: float) -> np.ndarray:
-    """curvature_profile through _locate_many, the lookup sample() makes."""
+    """curvature_profile through _locate, the lookup sample() makes."""
     stations = curvature_profile(path, step)[:, 0]
-    _, local, columns = path._locate_many(stations)
-    return np.column_stack((stations, columns[2] + columns[3] * local))
+    table, idx = _locate((path,), (stations,))
+    columns = table.take(idx, axis=1)
+    return np.column_stack((stations, columns[2] + columns[3] * _local(stations, columns)))
 
 
 @pytest.mark.parametrize("step", [0.3, 1.0, 7.0, 1000.0])

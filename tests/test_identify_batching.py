@@ -1,11 +1,12 @@
 """Identification and the node-count sweep batch their work without moving a
-bit: grid costs scored in chunked many-polyline projections equal one
-projection per candidate, each search evaluation is scored by the same rule
-in one one-polyline projection, the sweep's error column equals one
-projection per path, a window's memo of fits fits each pose pair once and
-gives the segments a fit without it gives, and the search finds what it
-finds with the formulas that CompositePath.sample and project_to_polyline
-replaced."""
+bit: grid costs sampled in one sample_paths call per chunk and scored in
+chunked many-polyline projections equal one sample and one projection per
+candidate, each search evaluation is scored by the same rule in one
+one-path sample and one one-polyline projection, the sweep's error column
+equals one sample and one projection per path, a window's memo of fits fits
+each pose pair once and gives the segments a fit without it gives, and the
+search finds what it finds with the formulas that sample_paths and
+project_to_polyline replaced."""
 
 import math
 
@@ -34,11 +35,13 @@ STRIDE = 240  # every other window, to keep the suite quick
 
 def _record_scoring(monkeypatch):
     """Per window, per _grid_costs call (the grid first, then one per search
-    evaluation): its candidates' arguments, its costs and the argument count
-    of each project_to_polyline call it made."""
+    evaluation): its candidates' arguments, its costs, the argument count of
+    each project_to_polyline call it made and the path count of each
+    sample_paths call."""
     windows = []
     geometry = calibration._window_geometry
     candidate_path, grid_costs = calibration._candidate_path, calibration._grid_costs
+    sample_paths = calibration.sample_paths
 
     def recorded_geometry(*args):
         windows.append([])
@@ -52,10 +55,15 @@ def _record_scoring(monkeypatch):
         windows[-1][-1]["calls"].append(len(args))
         return project_to_polyline(*args)
 
+    def counted_samples(paths, stations):
+        windows[-1][-1]["samples"].append(len(paths))
+        return sample_paths(paths, stations)
+
     def recorded_grid(paths, pts):
-        windows[-1].append({"candidates": [], "calls": [], "pts": pts})
+        windows[-1].append({"candidates": [], "calls": [], "samples": [], "pts": pts})
         with monkeypatch.context() as patch:
             patch.setattr(road, "project_to_polyline", counted)
+            patch.setattr(calibration, "sample_paths", counted_samples)
             windows[-1][-1]["costs"] = grid_costs(paths, pts)
         return windows[-1][-1]["costs"]
 
@@ -66,13 +74,15 @@ def _record_scoring(monkeypatch):
 
 
 def _one_polyline_cost(candidate_args, pts) -> float:
-    """The mean distance of the recorded points to the candidate's path, by a
-    one-polyline projection of a path fitted without the window's memo."""
-    cand, corridor, stations, offsets, anchor_pose, _ = candidate_args
-    sampled = _candidate_path(cand, corridor, stations, offsets, anchor_pose, fits={})
-    if sampled is None:
+    """The mean distance of the recorded points to the candidate's path, by
+    a one-path sample at most a metre apart and a one-polyline projection of
+    a path fitted without the window's memos."""
+    cand, corridor, stations, offsets, anchor_pose, _, _ = candidate_args
+    path = _candidate_path(cand, corridor, stations, offsets, anchor_pose, fits={}, nodes={})
+    if path is None:
         return math.inf
-    _, _, signed = project_to_polyline(*sampled, pts[:, 0], pts[:, 1])
+    px, py, _ = path.sample(np.linspace(0.0, path.length, _sample_intervals(path.length) + 1))
+    _, _, signed = project_to_polyline(px, py, pts[:, 0], pts[:, 1])
     return float(np.mean(np.abs(signed)))
 
 
@@ -97,6 +107,9 @@ def test_grid_costs_match_one_window_cost_per_candidate(clean_driver_log, budget
             assert cost == _one_polyline_cost(args, grid["pts"])
         scored = sum(map(math.isfinite, costs))
         chunks = len(grid["calls"])
+        # one sample_paths call per chunk, just before its projection, with
+        # every path of the chunk: one call per path would fail here
+        assert len(grid["samples"]) == chunks and sum(grid["samples"]) == scored
         if budget is None:
             assert 2 <= chunks < scored
         else:
@@ -118,6 +131,7 @@ def test_each_search_evaluation_is_one_one_polyline_projection(clean_driver_log,
             (args,), (cost,) = evaluation["candidates"], evaluation["costs"]
             assert cost == _one_polyline_cost(args, evaluation["pts"])
             assert evaluation["calls"] == ([4] if math.isfinite(cost) else [])
+            assert evaluation["samples"] == ([1] if math.isfinite(cost) else [])
         # the window reports the grid's best or the search's last candidate
         assert optimum[3] in (*scoring[0]["costs"], *scoring[-1]["costs"])
 
@@ -131,13 +145,23 @@ def test_sweep_errors_match_one_projection_per_path(clean_driver_log, monkeypatc
         plans.append(real_fit(poses, fits))
         return plans[-1]
 
+    sampled = []  # per sample_paths call, its path count
+    sample_paths = calibration.sample_paths
+
+    def counted_samples(paths, stations):
+        sampled.append(len(paths))
+        return sample_paths(paths, stations)
+
     monkeypatch.setattr(calibration, "fit_composite", recorded_fit)
+    monkeypatch.setattr(calibration, "sample_paths", counted_samples)
     rows = node_count_tradeoff(clean_driver_log, counts=counts, repeats=1)
     monkeypatch.undo()
 
     corridors = [clean_driver_log.corridor(row)
                  for row in range(0, len(clean_driver_log), calibration.DEFAULT_RETRIGGER_CYCLES)]
     assert rows.skipped_replans == 0 and len(plans) == len(corridors) * len(counts)
+    # one call per corridor, with every count's path
+    assert sampled == [len(counts)] * len(corridors)
     errors = []
     for i, count in enumerate(counts):
         per_replan = []
@@ -229,17 +253,18 @@ def test_identification_sees_the_bits_of_the_replaced_formulas(monkeypatch):
 
     calls = {"sample": 0, "project": 0}
 
-    def sample(path, stations):
-        calls["sample"] += 1
-        return reference_sample(path, stations)[0]
+    def sample_paths(paths, stations):
+        calls["sample"] += len(paths)
+        return [reference_sample(path, part)[0] for path, part in zip(paths, stations, strict=True)]
 
     def project(*args):
         calls["project"] += 1
         return reference_project_to_polyline(*args)
 
-    monkeypatch.setattr(clothoid.CompositePath, "sample", sample)
+    monkeypatch.setattr(calibration, "sample_paths", sample_paths)
     monkeypatch.setattr(road, "project_to_polyline", project)
     reference = optimize_node_distances(log, initial, window=120, stride=110)
+    # paths sampled and projections made
     assert calls["sample"] > 200 and calls["project"] > 100
     assert reference.window_optima == found.window_optima
     assert reference.params == found.params

@@ -321,6 +321,28 @@ class TestSyntheticDriver:
         assert np.max(np.abs(data.offsets - P_TRUE @ data.inputs)) < 1e-12
 
 
+def _node_rows_over_every_row_left(log, row, distances):
+    """node_row_indices as it was before it summed only a prefix: every
+    logged speed from `row` to the log's end goes into the stations."""
+    from curvepath.road import InsufficientPreviewError
+
+    speeds = log.speed[row:]
+    with np.errstate(over="ignore"):
+        stations = np.concatenate(([0.0], np.cumsum(speeds * log.sample_time)))
+    indices = []
+    for d in distances:
+        k = int(np.searchsorted(stations, d))
+        candidates = [j for j in (k - 1, k) if 0 <= j < stations.size]
+        best = min(candidates, key=lambda j: abs(stations[j] - d))
+        if best == speeds.size:
+            raise InsufficientPreviewError(
+                f"log ends {d - stations[-2]:.1f} m before the node point "
+                f"{d:.1f} m ahead of cycle {int(log.cycle[row])}"
+            )
+        indices.append(row + best)
+    return indices
+
+
 class TestMeasuredOffsets:
     def test_node_rows_at_constant_speed(self, clean_driver_log):
         rows = node_row_indices(clean_driver_log, 0, (10.0, 39.0, 137.0))
@@ -362,6 +384,42 @@ class TestMeasuredOffsets:
                 node_row_indices(log, row, (d,))
         else:
             assert node_row_indices(log, row, (d,)) == [row + best]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_node_rows_match_the_sum_over_every_row_left(self, data):
+        # logs longer than the prefix node_row_indices sums first, with
+        # stops, speeds whose sum overflows to inf, and node distances
+        # around the travel left before the log's end: each row, and each
+        # error with its message, is that of summing every row left
+        from curvepath.road import InsufficientPreviewError
+
+        n = data.draw(st.integers(1, 1500))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        speeds = rng.uniform(0.0, 40.0, n)
+        speeds[rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+        if data.draw(st.booleans()):
+            speeds[rng.random(n) < 0.2] = 1e308
+        step = data.draw(st.sampled_from([0.05, 1.0]))
+        log = DriveLog(
+            cycle=np.arange(n), t=np.arange(n) * step, x=np.zeros(n), y=np.zeros(n),
+            theta=np.zeros(n), speed=speeds, c0=np.zeros(n), c1=np.zeros(n),
+            c2=np.zeros(n), c3=np.zeros(n), lane_width=np.full(n, 3.7),
+        )
+        row = data.draw(st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 200), n - 1)))
+        with np.errstate(over="ignore"):
+            left = float(np.sum(speeds[row:] * log.sample_time))
+        scale = data.draw(st.sampled_from([0.25, 0.999, 1.0, 1.001, 3.0]))
+        far = left * scale if 0.0 < left < math.inf else data.draw(st.floats(1e-3, 500.0))
+        distances = tuple(sorted(far * f for f in data.draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))))
+
+        def outcome(find):
+            try:
+                return find(log, row, distances)
+            except InsufficientPreviewError as exc:
+                return str(exc)
+
+        assert outcome(node_row_indices) == outcome(_node_rows_over_every_row_left)
 
     @pytest.mark.parametrize(
         "distances, rows",
